@@ -45,6 +45,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Multi-marginal transport, barycenters, and particle flows.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Options of every subcommand that reads measures (--tol differs in meaning, so it stays per command).
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument("measures", nargs="+", type=Path, help="measure files")
+    instance.add_argument("--p", type=float, default=2.0, help="cost exponent (> 1)")
+    instance.add_argument("--max-grid", type=int, default=MAX_GRID, help="tuple-grid size cap")
 
     gen = sub.add_parser("generate", help="write a seeded random instance as JSON measures")
     gen.add_argument("--seed", type=int, default=0, help="RNG seed (all randomness flows through it)")
@@ -59,14 +64,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     gen.add_argument("--out", type=Path, default=Path("."), help="output directory")
 
-    solve = sub.add_parser("solve", help="solve the multi-marginal problem for JSON measures")
-    solve.add_argument("measures", nargs="+", type=Path, help="measure files")
-    solve.add_argument("--p", type=float, default=2.0, help="cost exponent (> 1)")
+    solve = sub.add_parser("solve", parents=[instance], help="solve the multi-marginal problem for JSON measures")
     solve.add_argument(
         "--tol", type=float, default=1e-10,
         help="stationarity tolerance of the inner barycenter solver",
     )
-    solve.add_argument("--max-grid", type=int, default=MAX_GRID, help="tuple-grid size cap")
     solve.add_argument(
         "--entropic-eps", type=float, default=None, metavar="EPS",
         help="also report the entropic value at this regularization "
@@ -74,25 +76,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument("--out", type=Path, default=None, help="also write barycenter.json and result.json here")
 
-    flow = sub.add_parser("flow", help="export particle-flow and coupling-flow frames")
-    flow.add_argument("measures", nargs="+", type=Path, help="measure files")
-    flow.add_argument("--p", type=float, default=2.0, help="cost exponent (> 1)")
+    flow = sub.add_parser("flow", parents=[instance], help="export particle-flow and coupling-flow frames")
     flow.add_argument("--frames", type=int, default=5, metavar="k", help="equally spaced frames, k >= 2")
     flow.add_argument(
         "--tol", type=float, default=1e-10,
         help="stationarity tolerance of the inner barycenter solver",
     )
-    flow.add_argument("--max-grid", type=int, default=MAX_GRID, help="tuple-grid size cap")
     flow.add_argument("--out", type=Path, default=Path("."), help="directory for the CSV frames")
 
-    verify = sub.add_parser("verify", help="run the full identity-chain verification")
-    verify.add_argument("measures", nargs="+", type=Path, help="measure files")
-    verify.add_argument("--p", type=float, default=2.0, help="cost exponent (> 1)")
+    verify = sub.add_parser("verify", parents=[instance], help="run the full identity-chain verification")
     verify.add_argument(
         "--tol", type=float, default=1e-7,
         help="relative tolerance for the value-chain comparison",
     )
-    verify.add_argument("--max-grid", type=int, default=MAX_GRID, help="tuple-grid size cap")
     verify.add_argument("--out", type=Path, default=None, help="also write report.json here")
     return parser
 

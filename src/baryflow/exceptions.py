@@ -20,8 +20,6 @@ __all__ = [
     "TimeOutOfRangeError",
     "WrongExponentError",
     "SolverError",
-    "InfeasibleError",
-    "UnboundedError",
     "CycleLimitError",
     "ConvergenceError",
     "ProductGridError",
@@ -74,14 +72,6 @@ class WrongExponentError(ValidationError):
 
 class SolverError(BaryflowError, RuntimeError):
     """An iterative solver failed to produce a usable answer."""
-
-
-class InfeasibleError(SolverError):
-    """The linear program has no feasible point."""
-
-
-class UnboundedError(SolverError):
-    """The linear program objective is unbounded below."""
 
 
 class CycleLimitError(SolverError):

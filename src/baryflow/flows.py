@@ -35,7 +35,7 @@ from .exceptions import (
     WrongExponentError,
 )
 from .infconv import batch_barycenters, check_exponent, power_cost_gradient
-from .measures import DiscreteMeasure, canonicalize
+from .measures import DiscreteMeasure, _freeze, canonicalize
 from .transport import MmotResult
 
 __all__ = [
@@ -55,12 +55,6 @@ __all__ = [
     "export_flow_frames",
     "export_coupling_frames",
 ]
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(np.asarray(arr, dtype=float))
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True)
@@ -140,7 +134,7 @@ class CouplingFlow:
             raise DimensionMismatchError("flat dimension is not a multiple of the marginal count")
         object.__setattr__(self, "starts", _freeze(starts))
         object.__setattr__(self, "targets", _freeze(targets))
-        object.__setattr__(self, "masses", _freeze(np.asarray(self.masses, dtype=float)))
+        object.__setattr__(self, "masses", _freeze(self.masses, float))
         object.__setattr__(self, "p", check_exponent(self.p))
 
     @property

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConvergenceError, DimensionMismatchError, WrongExponentError
+from .measures import _freeze
 
 __all__ = [
     "BarycenterResult",
@@ -100,9 +101,7 @@ class BarycenterResult:
     grad_norm: float
 
     def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(np.asarray(self.barycenter, dtype=float))
-        arr.flags.writeable = False
-        object.__setattr__(self, "barycenter", arr)
+        object.__setattr__(self, "barycenter", _freeze(self.barycenter, float))
 
 
 def _objective(points: np.ndarray, z: np.ndarray, p: float) -> np.ndarray:

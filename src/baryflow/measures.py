@@ -85,8 +85,8 @@ def _as_vector(values: object, name: str) -> np.ndarray:
     return arr
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(arr)
+def _freeze(arr: object, dtype: type | None = None) -> np.ndarray:
+    out = np.ascontiguousarray(arr, dtype=dtype)
     out.flags.writeable = False
     return out
 

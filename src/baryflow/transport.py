@@ -1,8 +1,8 @@
 """Optimal transport with Euclidean power costs.
 
 Two solvers live here.  ``solve_pairwise`` computes the p-Wasserstein
-cost ``W_p^p`` between two discrete measures as a dense transportation
-LP, returning dual potentials along with the optimal plan.
+cost ``W_p^p`` between two discrete measures as a transportation LP,
+returning dual potentials along with the optimal plan.
 ``solve_mmot`` solves the multi-marginal problem whose ground cost is the
 infimal convolution of single power costs over a free barycenter point:
 
@@ -14,6 +14,10 @@ the p-Wasserstein barycenter problem, and the two optimal values agree.
 That equality, along with dual feasibility and complementary slackness,
 is what :mod:`baryflow.verify` certifies numerically.
 
+Both are transportation LPs over a product grid of atom indices (the
+pairwise one is the case N = 2) and share one transport simplex, which
+never forms a constraint matrix.
+
 An entropic pairwise solver is included for cross-checking; being a
 smoothed approximation it is never used inside exact-equality checks.
 """
@@ -24,19 +28,22 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lu_factor, lu_solve
 from scipy.special import logsumexp
 
 from .exceptions import (
     ConvergenceError,
+    CycleLimitError,
     DimensionMismatchError,
+    NonFiniteCoordinateError,
     ProductGridError,
 )
 from .infconv import batch_barycenters, check_exponent, power_cost_gradient
-from .linprog import LpProblem, solve_lp
 from .measures import (
     Coupling,
     DiscreteMeasure,
     MultiPlan,
+    _freeze,
     canonicalize,
     validate_measure,
 )
@@ -63,6 +70,11 @@ __all__ = [
 MAX_GRID = 200_000
 # Plan entries at or below this are treated as numerically zero.
 MASS_CUTOFF = 1e-12
+# Optimality tolerance on reduced costs.
+OPT_TOL = 1e-9
+# Entries of the basis-transformed entering column below this are treated
+# as nonpositive in the ratio test.
+_RATIO_PIVOT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -118,10 +130,8 @@ class MmotResult:
     p: float
 
     def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(np.asarray(self.tuple_barycenters, dtype=float))
-        arr.flags.writeable = False
-        object.__setattr__(self, "tuple_barycenters", arr)
-        object.__setattr__(self, "potentials", tuple(self.potentials))
+        object.__setattr__(self, "tuple_barycenters", _freeze(self.tuple_barycenters, float))
+        object.__setattr__(self, "potentials", tuple(_freeze(pot, float) for pot in self.potentials))
         object.__setattr__(self, "marginals", tuple(self.marginals))
 
 
@@ -139,6 +149,115 @@ class DualCertificate:
     max_violation: float
     duality_gap: float
     support_slack: float
+
+
+# ---------------------------------------------------------------------------
+# transport simplex
+# ---------------------------------------------------------------------------
+
+def _northwest_corner(weights: list[np.ndarray]) -> np.ndarray:
+    """Staircase of ``sum(n_k) - N + 1`` index tuples, shape (R, N).
+
+    Each step advances one index: among those that can still move, the
+    one whose current atom has the least remaining mass.  Every new tuple
+    brings in one new atom, so the 0/1 basis it spans is triangular and
+    nonsingular even when steps are degenerate.
+    """
+    sizes = [len(w) for w in weights]
+    idx = [0] * len(sizes)
+    left = [float(w[0]) for w in weights]
+    staircase = [tuple(idx)]
+    for _ in range(sum(sizes) - len(sizes)):
+        step = min((k for k, n in enumerate(sizes) if idx[k] < n - 1), key=left.__getitem__)
+        moved = left[step]
+        left = [mass - moved for mass in left]
+        idx[step] += 1
+        left[step] = float(weights[step][idx[step]])
+        staircase.append(tuple(idx))
+    return np.array(staircase)
+
+
+def _transport_simplex(
+    costs: np.ndarray, weights: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, float, list[np.ndarray]]:
+    """Optimal vertex of ``min <costs, x>`` over couplings of ``weights``.
+
+    ``costs`` holds one entry per index tuple, shape ``(n_1, ..., n_N)``.
+    The last atom's row of marginals 2..N is dropped up front (these are
+    the N - 1 redundant rows), so those potentials are zero.  Each pivot
+    refactors the R x R 0/1 basis and prices all tuples by broadcasting
+    the potentials over the grid: Dantzig's rule, then Bland's after
+    ``3 * (rows + cols)`` pivots.
+
+    Returns the ascending C-order flat indices of the tuples with mass
+    above ``MASS_CUTOFF``, their masses, the optimal value and one
+    potential vector per marginal.  Raises ``NonFiniteCoordinateError``
+    on non-finite costs and ``CycleLimitError`` when the pivot budget
+    runs out or the basis degenerates numerically.
+    """
+    if not np.isfinite(costs).all():
+        raise NonFiniteCoordinateError("transport costs must be finite")
+    sizes = costs.shape
+    n_rows = sum(sizes) - len(sizes) + 1
+    # Constraint row of each atom; dropped rows point at the extra row
+    # n_rows, whose dual is the fixed zero.
+    starts = np.cumsum([0, sizes[0]] + [n - 1 for n in sizes[1:-1]])
+    row_of = [start + np.arange(n) for start, n in zip(starts, sizes)]
+    for rows in row_of[1:]:
+        rows[-1] = n_rows
+    b = np.concatenate([weights[0]] + [w[:-1] for w in weights[1:]])
+    flat_costs = costs.ravel()
+    bland_after = 3 * (n_rows + flat_costs.size)
+    max_iter = 10_000 + 100 * (n_rows + flat_costs.size)
+
+    def columns(flat: np.ndarray) -> np.ndarray:
+        """Constraint columns of the tuples at the given flat indices."""
+        out = np.zeros((n_rows + 1, len(flat)))
+        for rows, atoms in zip(row_of, np.unravel_index(flat, sizes)):
+            out[rows[atoms], np.arange(len(flat))] = 1.0
+        return out[:n_rows]
+
+    basis = np.ravel_multi_index(_northwest_corner(weights).T, sizes)
+    pivots = 0
+    while True:
+        lu = lu_factor(columns(basis))
+        x_basic = lu_solve(lu, b)
+        duals = np.append(lu_solve(lu, flat_costs[basis], trans=1), 0.0)
+        potentials = [duals[rows] for rows in row_of]
+        reduced = (costs - sum(np.ix_(*potentials))).ravel()
+        reduced[basis] = 0.0
+
+        if pivots >= bland_after:
+            # Bland's rule: lowest-index improving column, guaranteed finite.
+            negatives = np.flatnonzero(reduced < -OPT_TOL)
+            if negatives.size == 0:
+                break
+            entering = int(negatives[0])
+        else:
+            entering = int(np.argmin(reduced))
+            if reduced[entering] >= -OPT_TOL:
+                break
+
+        pivots += 1
+        if pivots > max_iter:
+            raise CycleLimitError(f"no optimum after {pivots - 1} pivots")
+
+        direction = lu_solve(lu, columns(np.array([entering]))[:, 0])
+        positive = direction > _RATIO_PIVOT_TOL
+        if not positive.any():
+            # A feasible transport LP is bounded; this means the basis
+            # matrix has degenerated numerically.
+            raise CycleLimitError("transport basis lost boundedness; data is ill-conditioned")
+        ratios = np.full(n_rows, np.inf)
+        ratios[positive] = np.maximum(x_basic[positive], 0.0) / direction[positive]
+        ties = np.flatnonzero(ratios == ratios.min())
+        # Among tied rows leave the lowest variable index (Bland-compatible).
+        basis[ties[np.argmin(basis[ties])]] = entering
+
+    order = np.argsort(basis)
+    basis, masses = basis[order], np.maximum(x_basic[order], 0.0)
+    keep = masses > MASS_CUTOFF
+    return basis[keep], masses[keep], float(flat_costs[basis] @ masses), potentials
 
 
 def pairwise_cost_matrix(source_points: np.ndarray, target_points: np.ndarray, p: float) -> np.ndarray:
@@ -160,34 +279,25 @@ def solve_pairwise(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> Pairwi
     """Exact ``W_p^p`` between two discrete measures, with potentials.
 
     The transportation LP has one variable per atom pair and one
-    constraint per atom; one redundant constraint (total mass appears
-    twice) is dropped before handing the program to the simplex solver.
+    constraint per atom; the target's last constraint is redundant and
+    dropped, so its potential is zero at the last target atom.
     """
     validate_measure(mu)
     validate_measure(nu)
     p = check_exponent(p)
     m, n = len(mu), len(nu)
     cost = pairwise_cost_matrix(mu.points, nu.points, p)
-
-    row_marg = np.kron(np.eye(m), np.ones((1, n)))
-    col_marg = np.kron(np.ones((1, m)), np.eye(n))
-    A = np.vstack([row_marg, col_marg[:-1]])
-    b = np.concatenate([mu.weights, nu.weights[:-1]])
-    sol = solve_lp(LpProblem(c=cost.ravel(), A=A, b=b))
-
-    keep = np.flatnonzero(sol.x > MASS_CUTOFF)
-    psi = sol.duals[:m]
-    phi = np.append(sol.duals[m:], 0.0)
+    support, masses, value, (psi, phi) = _transport_simplex(cost, [mu.weights, nu.weights])
     coupling = Coupling(
         n_source=m,
         n_target=n,
-        rows=keep // n,
-        cols=keep % n,
-        masses=sol.x[keep],
+        rows=support // n,
+        cols=support % n,
+        masses=masses,
         source_potentials=psi,
         target_potentials=phi,
     )
-    return PairwiseResult(coupling=coupling, value=sol.value, p=p)
+    return PairwiseResult(coupling=coupling, value=value, p=p)
 
 
 def wb_value(nu: DiscreteMeasure, marginals: list[DiscreteMeasure] | tuple[DiscreteMeasure, ...], p: float) -> float:
@@ -252,9 +362,9 @@ def solve_mmot(
     """Solve the barycentric multi-marginal transport problem exactly.
 
     One LP variable per tuple of the product grid, one constraint per
-    marginal atom (one globally redundant row dropped; further redundancy
-    is eliminated inside the LP solver).  Costs are the per-tuple
-    infimal-convolution values.
+    marginal atom; the last constraint of every marginal but the first
+    is redundant and dropped, so those potentials are zero at the last
+    atom.  Costs are the per-tuple infimal-convolution values.
 
     Raises
     ------
@@ -271,32 +381,21 @@ def solve_mmot(
     for mu in mus:
         validate_measure(mu)
 
-    sizes = [len(mu) for mu in mus]
+    sizes = tuple(len(mu) for mu in mus)
     indices, costs, barycenters = _tuple_grid(mus, p, max_grid, newton_tol)
-    total = len(indices)
-
-    blocks = []
-    for k, size in enumerate(sizes):
-        blocks.append((indices[:, k][None, :] == np.arange(size)[:, None]).astype(float))
-    A = np.vstack(blocks)[:-1]
-    b = np.concatenate([mu.weights for mu in mus])[:-1]
-    sol = solve_lp(LpProblem(c=costs, A=A, b=b))
-
-    duals = np.append(sol.duals, 0.0)
-    offsets = np.cumsum([0] + sizes)
-    potentials = tuple(duals[offsets[k]:offsets[k + 1]] for k in range(len(mus)))
-
-    keep = np.flatnonzero(sol.x > MASS_CUTOFF)
+    support, masses, value, potentials = _transport_simplex(
+        costs.reshape(sizes), [mu.weights for mu in mus]
+    )
     plan = MultiPlan(
         n_marginals=len(mus),
-        support_sizes=tuple(sizes),
-        indices=indices[keep],
-        masses=sol.x[keep],
+        support_sizes=sizes,
+        indices=indices[support],
+        masses=masses,
     )
     return MmotResult(
         plan=plan,
-        value=sol.value,
-        tuple_barycenters=barycenters[keep],
+        value=value,
+        tuple_barycenters=barycenters[support],
         potentials=potentials,
         marginals=mus,
         p=p,

@@ -10,6 +10,7 @@ import pytest
 from baryflow import (
     DimensionMismatchError,
     DiscreteMeasure,
+    NonFiniteCoordinateError,
     ProductGridError,
     barycenter_potentials,
     c_transform,
@@ -27,9 +28,11 @@ from baryflow import (
     validate_multiplan,
     wb_value,
 )
+from baryflow.transport import _transport_simplex
 
 from .oracles import (
     assignment_value,
+    exhaustive_mmot_value,
     pairwise_value_linprog,
     quadratic_tuple_cost,
     tuple_cost_minimize,
@@ -201,8 +204,6 @@ class TestMmot:
 
     @pytest.mark.parametrize("p", [2.0, 1.5])
     def test_matches_exhaustive_reference_lp(self, p):
-        from .oracles import exhaustive_mmot_value
-
         rng = np.random.default_rng(12)
         mus = [random_measure(rng, n, 2, uniform=False) for n in (3, 2, 3)]
         pts = [mu.points for mu in mus]
@@ -216,6 +217,13 @@ class TestMmot:
                 costs.append(tuple_cost_minimize(stack, p))
         ref = exhaustive_mmot_value(pts, wts, np.array(costs))
         assert solve_mmot(mus, p).value == pytest.approx(ref, rel=1e-9)
+
+    def test_potentials_are_frozen(self):
+        rng = np.random.default_rng(24)
+        res = solve_mmot([random_measure(rng, 3, 2) for _ in range(3)], 2.0)
+        for pot in res.potentials:
+            with pytest.raises(ValueError):
+                pot[0] = 1.0
 
     def test_stationarity_residual_is_small(self):
         rng = np.random.default_rng(13)
@@ -246,6 +254,125 @@ class TestMmot:
         rng = np.random.default_rng(17)
         with pytest.raises(DimensionMismatchError):
             solve_mmot([random_measure(rng, 3, 2), random_measure(rng, 3, 1)], 2.0)
+
+
+def quadratic_grid_costs(mus: list[DiscreteMeasure]) -> np.ndarray:
+    """Closed-form p = 2 tuple costs over the C-order index grid."""
+    return np.array([
+        quadratic_tuple_cost(np.stack([mu.points[i] for mu, i in zip(mus, tup)]))
+        for tup in itertools.product(*(range(len(mu)) for mu in mus))
+    ])
+
+
+def assert_certified(res) -> None:
+    cert = dual_feasibility_check(res)
+    assert cert.max_violation < 1e-9
+    assert cert.duality_gap < 1e-9 * (1.0 + abs(res.value))
+    assert cert.support_slack < 1e-9
+
+
+def assert_pairwise_certified(res, mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
+    psi, phi = res.source_potentials, res.target_potentials
+    assert psi @ mu.weights + phi @ nu.weights == pytest.approx(res.value, rel=1e-9, abs=1e-12)
+    slack = pairwise_cost_matrix(mu.points, nu.points, res.p) - psi[:, None] - phi[None, :]
+    assert slack.min() > -1e-9
+    assert np.abs(slack[res.coupling.rows, res.coupling.cols]).max() < 1e-9
+
+
+class TestTransportSimplex:
+    """The one transport simplex behind both the pairwise and the joint LP."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_instances_match_highs(self, seed):
+        rng = np.random.default_rng(1000 + seed)
+        n_marginals = 2 + seed % 3
+        mus = [
+            random_measure(rng, int(rng.integers(1, 9 - n_marginals)), 2, uniform=False)
+            for _ in range(n_marginals)
+        ]
+        ref = exhaustive_mmot_value(
+            [mu.points for mu in mus], [mu.weights for mu in mus], quadratic_grid_costs(mus)
+        )
+        res = solve_mmot(mus, 2.0)
+        assert res.value == pytest.approx(ref, rel=1e-9, abs=1e-12)
+        assert_certified(res)
+        pair = solve_pairwise(mus[0], mus[1], 1.5)
+        pair_ref = pairwise_value_linprog(
+            mus[0].points, mus[0].weights, mus[1].points, mus[1].weights, 1.5
+        )
+        assert pair.value == pytest.approx(pair_ref, rel=1e-9, abs=1e-12)
+        assert_pairwise_certified(pair, mus[0], mus[1])
+
+    @pytest.mark.parametrize("n_marginals", [2, 3, 4])
+    def test_zero_weight_atom_matches_highs(self, n_marginals):
+        rng = np.random.default_rng(30 + n_marginals)
+        mus = [random_measure(rng, 3, 2, uniform=False) for _ in range(n_marginals)]
+        weights = np.array([0.0, 0.4, 0.6])
+        mus[0] = DiscreteMeasure(mus[0].points, weights)
+        mus[-1] = DiscreteMeasure(mus[-1].points, weights[::-1])
+        ref = exhaustive_mmot_value(
+            [mu.points for mu in mus], [mu.weights for mu in mus], quadratic_grid_costs(mus)
+        )
+        res = solve_mmot(mus, 2.0)
+        assert res.value == pytest.approx(ref, rel=1e-9)
+        assert_certified(res)
+        validate_multiplan(res.plan, mus)
+        pair = solve_pairwise(mus[0], mus[-1], 2.0)
+        pair_ref = pairwise_value_linprog(
+            mus[0].points, mus[0].weights, mus[-1].points, mus[-1].weights, 2.0
+        )
+        assert pair.value == pytest.approx(pair_ref, rel=1e-9)
+        assert_pairwise_certified(pair, mus[0], mus[-1])
+
+    @pytest.mark.parametrize("n_marginals", [2, 3, 4])
+    def test_all_dirac_marginals(self, n_marginals):
+        # one constraint row and one basic tuple (R = 1)
+        rng = np.random.default_rng(40 + n_marginals)
+        pts = rng.uniform(size=(n_marginals, 2))
+        mus = [DiscreteMeasure([pt], [1.0]) for pt in pts]
+        res = solve_mmot(mus, 1.5)
+        assert res.value == pytest.approx(infconv_cost(pts, 1.5), rel=1e-12)
+        assert res.plan.indices.tolist() == [[0] * n_marginals]
+        assert_certified(res)
+
+    @pytest.mark.parametrize("n_marginals", [2, 3, 4])
+    def test_dropped_rows_pin_last_potentials(self, n_marginals):
+        # the last atom's row of marginals 2..N is dropped up front, so
+        # those potentials are zero and the first marginal carries the rest
+        rng = np.random.default_rng(50 + n_marginals)
+        mus = [random_measure(rng, 3, 1, uniform=False) for _ in range(n_marginals)]
+        res = solve_mmot(mus, 2.0)
+        assert [pot[-1] for pot in res.potentials[1:]] == [0.0] * (n_marginals - 1)
+        assert_certified(res)
+        pair = solve_pairwise(mus[0], mus[1], 2.0)
+        assert pair.target_potentials[-1] == 0.0
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_identical_uniform_supports_terminate(self, p):
+        # every north-west-corner step is degenerate on identical uniform
+        # supports; pricing must still reach a certified optimum
+        rng = np.random.default_rng(60)
+        mu = random_measure(rng, 8, 2)
+        res = solve_mmot([mu, mu, mu], p)
+        assert res.value == pytest.approx(0.0, abs=1e-12)
+        assert_certified(res)
+        a, b = rng.uniform(size=(2, 7, 2))
+        mu, nu = DiscreteMeasure(a, np.full(7, 1 / 7)), DiscreteMeasure(b, np.full(7, 1 / 7))
+        pair = solve_pairwise(mu, nu, p)
+        assert pair.value == pytest.approx(assignment_value(a, b, p), rel=1e-10)
+        assert_pairwise_certified(pair, mu, nu)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_costs_rejected(self, bad):
+        costs = np.array([[0.0, bad], [1.0, 2.0]])
+        with pytest.raises(NonFiniteCoordinateError):
+            _transport_simplex(costs, [np.full(2, 0.5), np.full(2, 0.5)])
+
+    def test_overflowing_costs_rejected(self):
+        mu = DiscreteMeasure([[0.0], [1e200]], [0.5, 0.5])
+        nu = DiscreteMeasure([[-1e200], [0.0]], [0.5, 0.5])
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteCoordinateError):
+            solve_pairwise(mu, nu, 3.0)
 
 
 class TestBarycenterExtraction:

@@ -121,6 +121,19 @@ class TestRunVerification:
         assert rep.passed
         assert rep.values["mmot"] == pytest.approx(1.0)  # 2 * |(1,1)/2|^2
 
+    def test_tied_lattice_instance_passes(self):
+        # many optimal plans tie on the 3x3 lattice; the shifted instance
+        # must land on the same one for translation invariance to hold
+        lattice = (
+            ((1, 0), (0, 0), (0, 1), (2, 0)),
+            ((1, 1), (0, 0), (2, 1), (1, 2)),
+            ((0, 0), (0, 1), (2, 2), (2, 0)),
+        )
+        mus = [DiscreteMeasure(np.array(pts, dtype=float), np.full(4, 0.25)) for pts in lattice]
+        rep = run_verification(mus, 2.0)
+        assert rep.checks["translation_invariance"].passed
+        assert rep.passed, rep.failing()
+
     def test_impossible_tolerance_fails_the_value_chain(self):
         rep = run_verification(random_marginals(46, 2, 3, 2), 2.0, value_tol=0.0)
         assert not rep.passed
