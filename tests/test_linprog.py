@@ -1,4 +1,11 @@
-"""Tests for the two-phase revised simplex solver."""
+"""Tests for the transport simplex as a linear-program solver.
+
+The simplex behind ``solve_pairwise`` and ``solve_mmot`` is called here
+directly on cost grids of shape ``(n_1, ..., n_N)``, with arbitrary costs
+rather than distance costs, and checked against scipy's HiGHS on the
+explicit equality system (all ``sum(n_k)`` marginal rows, redundant ones
+included).
+"""
 
 from __future__ import annotations
 
@@ -6,148 +13,139 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from baryflow import (
-    DimensionMismatchError,
-    InfeasibleError,
-    LpProblem,
-    NonFiniteCoordinateError,
-    UnboundedError,
-    solve_lp,
-)
+from baryflow import NonFiniteCoordinateError
+from baryflow.transport import _transport_simplex
+
+
+def marginal_rows(sizes: tuple[int, ...]) -> np.ndarray:
+    """One 0/1 row per atom of every marginal over the C-order tuple grid."""
+    grid = np.indices(sizes).reshape(len(sizes), -1)
+    return np.vstack([grid[k] == i for k, n in enumerate(sizes) for i in range(n)]).astype(float)
+
+
+def random_weights(rng: np.random.Generator, n: int) -> np.ndarray:
+    w = rng.uniform(0.5, 1.5, size=n)
+    return w / w.sum()
+
+
+def highs_value(costs: np.ndarray, A: np.ndarray, b: np.ndarray) -> float:
+    ref = scipy.optimize.linprog(costs.ravel(), A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+    assert ref.status == 0, ref.message
+    return float(ref.fun)
+
+
+def dense_plan(flat: np.ndarray, masses: np.ndarray, sizes: tuple[int, ...]) -> np.ndarray:
+    x = np.zeros(int(np.prod(sizes)))
+    x[flat] = masses
+    return x
+
+
+def reduced_costs(costs: np.ndarray, potentials: list[np.ndarray]) -> np.ndarray:
+    return costs - sum(np.ix_(*potentials))
 
 
 class TestProblemValidation:
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            LpProblem(c=[1.0, 2.0], A=[[1.0]], b=[1.0])
-
     def test_non_finite_rejected(self):
-        with pytest.raises(NonFiniteCoordinateError):
-            LpProblem(c=[np.nan], A=[[1.0]], b=[1.0])
-
-    def test_arrays_frozen(self):
-        prob = LpProblem(c=[1.0], A=[[1.0]], b=[1.0])
-        with pytest.raises(ValueError):
-            prob.c[0] = 2.0
+        for bad in (np.nan, np.inf, -np.inf):
+            costs = np.array([[0.0, bad], [1.0, 2.0]])
+            with pytest.raises(NonFiniteCoordinateError):
+                _transport_simplex(costs, [np.full(2, 0.5), np.full(2, 0.5)])
 
 
 class TestSmallProblems:
     def test_single_variable(self):
-        sol = solve_lp(LpProblem(c=[3.0], A=[[2.0]], b=[4.0]))
-        assert sol.x == pytest.approx([2.0])
-        assert sol.value == pytest.approx(6.0)
-        assert sol.status == "optimal"
-
-    def test_two_variables_picks_cheaper(self):
-        # x1 + x2 = 1, minimize 2 x1 + x2
-        sol = solve_lp(LpProblem(c=[2.0, 1.0], A=[[1.0, 1.0]], b=[1.0]))
-        assert sol.x == pytest.approx([0.0, 1.0])
-        assert sol.value == pytest.approx(1.0)
-
-    def test_negative_rhs_handled(self):
-        # -x1 = -3 is the same feasible set as x1 = 3
-        sol = solve_lp(LpProblem(c=[1.0], A=[[-1.0]], b=[-3.0]))
-        assert sol.x == pytest.approx([3.0])
-
-    def test_duals_flip_back_with_the_row(self):
-        plain = solve_lp(LpProblem(c=[1.0, 1.0], A=[[1.0, 2.0]], b=[2.0]))
-        flipped = solve_lp(LpProblem(c=[1.0, 1.0], A=[[-1.0, -2.0]], b=[-2.0]))
-        assert flipped.value == pytest.approx(plain.value)
-        assert flipped.duals == pytest.approx(-plain.duals)
+        # all-Dirac marginals: one tuple carries the whole unit of mass
+        for n_marginals in (2, 3):
+            costs = np.full((1,) * n_marginals, 3.0)
+            flat, masses, value, potentials = _transport_simplex(costs, [np.ones(1)] * n_marginals)
+            assert flat.tolist() == [0]
+            assert masses == pytest.approx([1.0])
+            assert value == pytest.approx(3.0)
+            assert sum(pot[0] for pot in potentials) == pytest.approx(3.0)
 
     def test_degenerate_vertex(self):
-        # three constraints meet at (1, 1) but the third is redundant
-        prob = LpProblem(
-            c=[1.0, 1.0],
-            A=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
-            b=[1.0, 1.0, 2.0],
-        )
-        sol = solve_lp(prob)
-        assert sol.x == pytest.approx([1.0, 1.0])
-
-    def test_infeasible_raises(self):
-        # x1 = 1 and x1 = 2 simultaneously
-        prob = LpProblem(c=[1.0], A=[[1.0], [1.0]], b=[1.0, 2.0])
-        with pytest.raises(InfeasibleError):
-            solve_lp(prob)
-
-    def test_negativity_infeasible(self):
-        # x1 + x2 = -1 has no nonnegative solution
-        with pytest.raises(InfeasibleError):
-            solve_lp(LpProblem(c=[1.0, 1.0], A=[[1.0, 1.0]], b=[-1.0]))
-
-    def test_unbounded_raises(self):
-        # x1 - x2 = 1 with objective -x1 can decrease forever
-        prob = LpProblem(c=[-1.0, 0.0], A=[[1.0, -1.0]], b=[1.0])
-        with pytest.raises(UnboundedError):
-            solve_lp(prob)
+        # both marginals exhaust at the same north-west-corner step, so the
+        # start carries a basic tuple at zero mass
+        costs = np.array([[1.0, 3.0], [3.0, 1.0]])
+        flat, masses, value, _ = _transport_simplex(costs, [np.full(2, 0.5), np.full(2, 0.5)])
+        assert flat.tolist() == [0, 3]
+        assert masses == pytest.approx([0.5, 0.5])
+        assert value == pytest.approx(1.0)
 
     def test_zero_rhs_feasible(self):
-        sol = solve_lp(LpProblem(c=[1.0, 1.0], A=[[1.0, 1.0]], b=[0.0]))
-        assert sol.value == pytest.approx(0.0)
+        # a zero-weight atom: its row has right-hand side 0 and carries no mass
+        costs = np.array([[0.0, 0.0], [2.0, 5.0]])
+        flat, masses, value, potentials = _transport_simplex(
+            costs, [np.array([0.0, 1.0]), np.array([0.5, 0.5])]
+        )
+        assert np.unravel_index(flat, costs.shape)[0].tolist() == [1, 1]
+        assert masses == pytest.approx([0.5, 0.5])
+        assert value == pytest.approx(3.5)
+        assert reduced_costs(costs, potentials).min() >= -1e-12
 
 
 class TestDuals:
     def test_duals_satisfy_strong_duality(self):
         rng = np.random.default_rng(3)
-        A = rng.uniform(size=(3, 7))
-        x_feas = rng.uniform(size=7)
-        b = A @ x_feas
-        c = rng.uniform(1.0, 2.0, size=7)
-        sol = solve_lp(LpProblem(c=c, A=A, b=b))
-        assert sol.duals @ b == pytest.approx(sol.value, rel=1e-9)
+        sizes = (3, 4, 2)
+        weights = [random_weights(rng, n) for n in sizes]
+        costs = rng.uniform(1.0, 2.0, size=sizes)
+        _, _, value, potentials = _transport_simplex(costs, weights)
+        assert sum(pot @ w for pot, w in zip(potentials, weights)) == pytest.approx(value, rel=1e-9)
 
     def test_duals_are_feasible(self):
         rng = np.random.default_rng(4)
-        A = rng.uniform(size=(4, 9))
-        b = A @ rng.uniform(size=9)
-        c = rng.uniform(1.0, 2.0, size=9)
-        sol = solve_lp(LpProblem(c=c, A=A, b=b))
-        reduced = c - A.T @ sol.duals
+        sizes = (4, 5, 3)
+        weights = [random_weights(rng, n) for n in sizes]
+        costs = rng.uniform(1.0, 2.0, size=sizes)
+        flat, _, _, potentials = _transport_simplex(costs, weights)
+        reduced = reduced_costs(costs, potentials)
         assert reduced.min() >= -1e-9
+        # complementary slackness on the support
+        assert np.abs(reduced.ravel()[flat]).max() < 1e-9
 
 
 class TestAgainstScipy:
     @pytest.mark.parametrize("seed", range(10))
     def test_random_problems_match_highs(self, seed):
         rng = np.random.default_rng(1000 + seed)
-        n_rows = rng.integers(2, 6)
-        n_cols = n_rows + rng.integers(1, 8)
-        A = rng.uniform(-1.0, 1.0, size=(n_rows, n_cols))
-        b = A @ rng.uniform(size=n_cols)
-        c = rng.uniform(0.0, 2.0, size=n_cols)
-        ref = scipy.optimize.linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
-        assert ref.status == 0
-        sol = solve_lp(LpProblem(c=c, A=A, b=b))
-        assert sol.value == pytest.approx(ref.fun, rel=1e-8, abs=1e-10)
-        assert np.abs(A @ sol.x - b).max() < 1e-9
+        n_marginals = 2 + seed % 3
+        sizes = tuple(int(n) for n in rng.integers(1, 6, size=n_marginals))
+        weights = [random_weights(rng, n) for n in sizes]
+        costs = rng.uniform(0.0, 2.0, size=sizes)
+        A, b = marginal_rows(sizes), np.concatenate(weights)
+        ref = highs_value(costs, A, b)
+        flat, masses, value, _ = _transport_simplex(costs, weights)
+        assert value == pytest.approx(ref, rel=1e-8, abs=1e-10)
+        assert np.abs(A @ dense_plan(flat, masses, sizes) - b).max() < 1e-9
 
     def test_redundant_rows_match_highs(self):
-        # duplicate and linearly dependent rows must not break phase 2
+        # the N - 1 dependent marginal rows (and a duplicated one) go to
+        # HiGHS as they are; the simplex drops them and still returns one
+        # potential per atom, zero on the dropped rows
         rng = np.random.default_rng(77)
-        A0 = rng.uniform(size=(2, 5))
-        A = np.vstack([A0, A0[0], A0.sum(axis=0)])
-        x_feas = rng.uniform(size=5)
-        b = A @ x_feas
-        c = rng.uniform(1.0, 2.0, size=5)
-        ref = scipy.optimize.linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
-        sol = solve_lp(LpProblem(c=c, A=A, b=b))
-        assert sol.value == pytest.approx(ref.fun, rel=1e-9)
-        assert len(sol.duals) == 4
+        sizes = (3, 4, 2)
+        weights = [random_weights(rng, n) for n in sizes]
+        costs = rng.uniform(1.0, 2.0, size=sizes)
+        A, b = marginal_rows(sizes), np.concatenate(weights)
+        ref = highs_value(costs, np.vstack([A, A[0]]), np.append(b, b[0]))
+        _, _, value, potentials = _transport_simplex(costs, weights)
+        assert value == pytest.approx(ref, rel=1e-9)
+        assert [len(pot) for pot in potentials] == list(sizes)
+        assert [pot[-1] for pot in potentials[1:]] == [0.0, 0.0]
 
 
 class TestCycling:
     def test_classic_degenerate_problem_terminates(self):
-        # Beale's example cycles under naive Dantzig pricing; the Bland
-        # switch must get it to the optimum (value -0.05)
-        A = np.array(
-            [
-                [0.25, -60.0, -0.04, 9.0, 1.0, 0.0, 0.0],
-                [0.5, -90.0, -0.02, 3.0, 0.0, 1.0, 0.0],
-                [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
-            ]
-        )
-        b = np.array([0.0, 0.0, 1.0])
-        c = np.array([-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0])
-        sol = solve_lp(LpProblem(c=c, A=A, b=b))
-        assert sol.value == pytest.approx(-0.05)
+        # the uniform assignment problem is the classic degenerate transport
+        # LP: every vertex has n - 1 basic tuples at zero mass
+        rng = np.random.default_rng(5)
+        n = 7
+        weights = [np.full(n, 1.0 / n)] * 2
+        costs = rng.integers(0, 3, size=(n, n)).astype(float)
+        ref = highs_value(costs, marginal_rows((n, n)), np.concatenate(weights))
+        flat, masses, value, potentials = _transport_simplex(costs, weights)
+        assert value == pytest.approx(ref, rel=1e-9, abs=1e-12)
+        assert reduced_costs(costs, potentials).min() >= -1e-9
+        assert masses.sum() == pytest.approx(1.0)
+        assert len(flat) <= 2 * n - 1
