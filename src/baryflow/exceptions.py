@@ -14,7 +14,6 @@ __all__ = [
     "WeightSumError",
     "DimensionMismatchError",
     "NonFiniteCoordinateError",
-    "NonFiniteImageError",
     "MarginalMismatchError",
     "IndexOutOfRangeError",
     "TimeOutOfRangeError",
@@ -48,10 +47,6 @@ class DimensionMismatchError(ValidationError):
 
 class NonFiniteCoordinateError(ValidationError):
     """A coordinate or weight is NaN or infinite."""
-
-
-class NonFiniteImageError(ValidationError):
-    """A pushforward map produced a NaN or infinite image point."""
 
 
 class MarginalMismatchError(ValidationError):

@@ -338,15 +338,16 @@ def _format_row(values: Sequence[object]) -> str:
     return ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in values)
 
 
-def export_flow_frames(flow: ParticleFlow, times: Sequence[float], path: str | Path) -> None:
-    """Write particle positions and velocities at the given times as CSV.
-
-    Header is ``t,flow,particle,mass,x_1,...,x_d,v_1,...,v_d``; the
-    ``flow`` column is the 1-based family index and ``particle`` the
-    1-based tuple index.
-    """
+def _write_frames(
+    starts: np.ndarray,
+    targets: np.ndarray,
+    masses: np.ndarray,
+    times: Sequence[float],
+    path: str | Path,
+) -> None:
+    """CSV frames of straight-line particles, ``targets`` shape (K, F, d)."""
     times = [_check_time(t) for t in times]
-    d = flow.dim
+    d = starts.shape[1]
     header = (
         "t,flow,particle,mass,"
         + ",".join(f"x_{j + 1}" for j in range(d))
@@ -354,16 +355,26 @@ def export_flow_frames(flow: ParticleFlow, times: Sequence[float], path: str | P
         + ",".join(f"v_{j + 1}" for j in range(d))
     )
     lines = [header]
-    velocities = flow.velocities
+    velocities = targets - starts[:, None, :]
     for t in times:
-        for i in range(flow.n_marginals):
-            positions = (1.0 - t) * flow.starts + t * flow.targets[:, i, :]
-            for k in range(len(flow)):
-                row = [float(t), i + 1, k + 1, float(flow.masses[k])]
+        for i in range(targets.shape[1]):
+            positions = (1.0 - t) * starts + t * targets[:, i, :]
+            for k in range(len(masses)):
+                row = [float(t), i + 1, k + 1, float(masses[k])]
                 row += [float(c) for c in positions[k]]
                 row += [float(c) for c in velocities[k, i]]
                 lines.append(_format_row(row))
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def export_flow_frames(flow: ParticleFlow, times: Sequence[float], path: str | Path) -> None:
+    """Write particle positions and velocities at the given times as CSV.
+
+    Header is ``t,flow,particle,mass,x_1,...,x_d,v_1,...,v_d``; the
+    ``flow`` column is the 1-based family index and ``particle`` the
+    1-based tuple index.
+    """
+    _write_frames(flow.starts, flow.targets, flow.masses, times, path)
 
 
 def export_coupling_frames(cflow: CouplingFlow, times: Sequence[float], path: str | Path) -> None:
@@ -372,21 +383,4 @@ def export_coupling_frames(cflow: CouplingFlow, times: Sequence[float], path: st
     Same layout as :func:`export_flow_frames` with a single flow (column
     value 1) and ``N * d`` coordinate and velocity columns.
     """
-    times = [_check_time(t) for t in times]
-    nd = cflow.starts.shape[1]
-    header = (
-        "t,flow,particle,mass,"
-        + ",".join(f"x_{j + 1}" for j in range(nd))
-        + ","
-        + ",".join(f"v_{j + 1}" for j in range(nd))
-    )
-    lines = [header]
-    velocities = cflow.targets - cflow.starts
-    for t in times:
-        positions = (1.0 - t) * cflow.starts + t * cflow.targets
-        for k in range(len(cflow)):
-            row = [float(t), 1, k + 1, float(cflow.masses[k])]
-            row += [float(c) for c in positions[k]]
-            row += [float(c) for c in velocities[k]]
-            lines.append(_format_row(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_frames(cflow.starts, cflow.targets[:, None, :], cflow.masses, times, path)

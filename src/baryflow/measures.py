@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .exceptions import (
     MarginalMismatchError,
     NegativeWeightError,
     NonFiniteCoordinateError,
-    NonFiniteImageError,
     WeightSumError,
 )
 
@@ -42,14 +41,12 @@ __all__ = [
     "validate_coupling",
     "validate_multiplan",
     "canonicalize",
-    "pushforward",
     "marginal",
     "measures_close",
     "measure_to_dict",
     "measure_from_dict",
     "save_measure",
     "load_measure",
-    "measure_to_csv",
 ]
 
 # Atoms closer than MERGE_TOL (Euclidean) are merged by canonicalize().
@@ -294,7 +291,7 @@ def validate_multiplan(
 
 
 # ---------------------------------------------------------------------------
-# canonical form and pushforward
+# canonical form and projections
 # ---------------------------------------------------------------------------
 
 def canonicalize(m: DiscreteMeasure, *, merge_tol: float = MERGE_TOL) -> DiscreteMeasure:
@@ -330,24 +327,6 @@ def canonicalize(m: DiscreteMeasure, *, merge_tol: float = MERGE_TOL) -> Discret
     merged_p = pts[reps]
     order = np.lexsort(merged_p.T[::-1])
     return DiscreteMeasure(merged_p[order], merged_w[order])
-
-
-def pushforward(m: DiscreteMeasure, f: Callable[[np.ndarray], object]) -> DiscreteMeasure:
-    """Image measure of ``m`` under the map ``f``, in canonical form.
-
-    ``f`` receives one atom at a time as a ``(d,)`` array and may return a
-    scalar or a vector (all images must share one dimension).
-    """
-    images = [np.atleast_1d(np.asarray(f(pt), dtype=float)) for pt in m.points]
-    dims = {img.shape for img in images}
-    if len(dims) > 1:
-        raise DimensionMismatchError(f"map produced mixed image shapes {sorted(dims)}")
-    stacked = np.array(images)
-    if stacked.ndim != 2:
-        raise DimensionMismatchError("map must return points, not arrays")
-    if not np.isfinite(stacked).all():
-        raise NonFiniteImageError("map produced a non-finite image point")
-    return canonicalize(DiscreteMeasure(stacked, m.weights))
 
 
 def marginal(
@@ -412,13 +391,3 @@ def save_measure(m: DiscreteMeasure, path: str | Path) -> None:
 def load_measure(path: str | Path) -> DiscreteMeasure:
     """Read a measure written by :func:`save_measure` and validate it."""
     return validate_measure(measure_from_dict(json.loads(Path(path).read_text())))
-
-
-def measure_to_csv(m: DiscreteMeasure, path: str | Path) -> None:
-    """Write a measure as CSV with header ``index,x_1,...,x_d,weight``."""
-    cols = ",".join(f"x_{j + 1}" for j in range(m.dim))
-    lines = [f"index,{cols},weight"]
-    for i, (pt, w) in enumerate(zip(m.points, m.weights)):
-        coords = ",".join(repr(float(v)) for v in pt)
-        lines.append(f"{i},{coords},{float(w)!r}")
-    Path(path).write_text("\n".join(lines) + "\n")

@@ -16,7 +16,8 @@ is what :mod:`baryflow.verify` certifies numerically.
 
 Both are transportation LPs over a product grid of atom indices (the
 pairwise one is the case N = 2) and share one transport simplex, which
-never forms a constraint matrix.
+never forms a constraint matrix and keeps the inverse of its small basis
+with plain numpy (a revised simplex with a product-form inverse).
 
 An entropic pairwise solver is included for cross-checking; being a
 smoothed approximation it is never used inside exact-equality checks.
@@ -28,8 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
-from scipy.special import logsumexp
 
 from .exceptions import (
     ConvergenceError,
@@ -63,7 +62,6 @@ __all__ = [
     "wb_value",
     "c_transform",
     "dual_feasibility_check",
-    "barycenter_potentials",
 ]
 
 # Cap on the tuple-grid size of the multi-marginal LP.
@@ -184,10 +182,12 @@ def _transport_simplex(
 
     ``costs`` holds one entry per index tuple, shape ``(n_1, ..., n_N)``.
     The last atom's row of marginals 2..N is dropped up front (these are
-    the N - 1 redundant rows), so those potentials are zero.  Each pivot
-    refactors the R x R 0/1 basis and prices all tuples by broadcasting
-    the potentials over the grid: Dantzig's rule, then Bland's after
-    ``3 * (rows + cols)`` pivots.
+    the N - 1 redundant rows), so those potentials are zero.  The inverse
+    of the R x R 0/1 basis is updated in product form at each pivot and
+    formed afresh every R pivots and before an optimum is accepted, so
+    the returned masses and potentials come from a fresh inverse.  All
+    tuples are priced by broadcasting the potentials over the grid:
+    Dantzig's rule, then Bland's after ``3 * (rows + cols)`` pivots.
 
     Returns the ascending C-order flat indices of the tuples with mass
     above ``MASS_CUTOFF``, their masses, the optimal value and one
@@ -217,12 +217,19 @@ def _transport_simplex(
             out[rows[atoms], np.arange(len(flat))] = 1.0
         return out[:n_rows]
 
+    def inverse_of(flat: np.ndarray) -> np.ndarray:
+        """Freshly formed inverse of the basis matrix of these tuples."""
+        try:
+            return np.linalg.inv(columns(flat))
+        except np.linalg.LinAlgError:
+            raise CycleLimitError("transport basis is singular; data is ill-conditioned") from None
+
     basis = np.ravel_multi_index(_northwest_corner(weights).T, sizes)
+    inverse, updates = inverse_of(basis), 0
     pivots = 0
     while True:
-        lu = lu_factor(columns(basis))
-        x_basic = lu_solve(lu, b)
-        duals = np.append(lu_solve(lu, flat_costs[basis], trans=1), 0.0)
+        x_basic = inverse @ b
+        duals = np.append(flat_costs[basis] @ inverse, 0.0)
         potentials = [duals[rows] for rows in row_of]
         reduced = (costs - sum(np.ix_(*potentials))).ravel()
         reduced[basis] = 0.0
@@ -230,19 +237,23 @@ def _transport_simplex(
         if pivots >= bland_after:
             # Bland's rule: lowest-index improving column, guaranteed finite.
             negatives = np.flatnonzero(reduced < -OPT_TOL)
-            if negatives.size == 0:
-                break
-            entering = int(negatives[0])
+            entering = int(negatives[0]) if negatives.size else -1
         else:
             entering = int(np.argmin(reduced))
             if reduced[entering] >= -OPT_TOL:
+                entering = -1
+        if entering < 0:
+            if updates == 0:
                 break
+            # Accept an optimum only when priced with a fresh inverse.
+            inverse, updates = inverse_of(basis), 0
+            continue
 
         pivots += 1
         if pivots > max_iter:
             raise CycleLimitError(f"no optimum after {pivots - 1} pivots")
 
-        direction = lu_solve(lu, columns(np.array([entering]))[:, 0])
+        direction = inverse @ columns(np.array([entering]))[:, 0]
         positive = direction > _RATIO_PIVOT_TOL
         if not positive.any():
             # A feasible transport LP is bounded; this means the basis
@@ -252,7 +263,16 @@ def _transport_simplex(
         ratios[positive] = np.maximum(x_basic[positive], 0.0) / direction[positive]
         ties = np.flatnonzero(ratios == ratios.min())
         # Among tied rows leave the lowest variable index (Bland-compatible).
-        basis[ties[np.argmin(basis[ties])]] = entering
+        leave = ties[np.argmin(basis[ties])]
+        basis[leave] = entering
+        updates += 1
+        if updates == n_rows:
+            inverse, updates = inverse_of(basis), 0
+        else:
+            # Product-form update: eliminate the entering column.
+            row = inverse[leave] / direction[leave]
+            inverse -= np.outer(direction, row)
+            inverse[leave] = row
 
     order = np.argsort(basis)
     basis, masses = basis[order], np.maximum(x_basic[order], 0.0)
@@ -469,40 +489,18 @@ def dual_feasibility_check(
     )
 
 
-def barycenter_potentials(
-    nu: DiscreteMeasure,
-    marginals: list[DiscreteMeasure] | tuple[DiscreteMeasure, ...],
-    p: float,
-) -> list[PairwiseResult]:
-    """Pairwise dual systems against a common source, jointly normalized.
-
-    Solves ``W_p^p(nu, mu_i)`` for every marginal and shifts each source
-    potential by a constant so the family sums to zero at the heaviest
-    atom of ``nu`` (constant shifts change neither feasibility nor the
-    dual pairing, so each result keeps its certificates).
-    """
-    results = [solve_pairwise(nu, mu, p) for mu in marginals]
-    anchor = int(np.argmax(nu.weights))
-    total = sum(float(r.source_potentials[anchor]) for r in results)
-    shift = total / len(results)
-    adjusted = []
-    for r in results:
-        coupling = Coupling(
-            n_source=r.coupling.n_source,
-            n_target=r.coupling.n_target,
-            rows=r.coupling.rows,
-            cols=r.coupling.cols,
-            masses=r.coupling.masses,
-            source_potentials=r.source_potentials - shift,
-            target_potentials=r.target_potentials + shift,
-        )
-        adjusted.append(PairwiseResult(coupling=coupling, value=r.value, p=r.p))
-    return adjusted
-
-
 # ---------------------------------------------------------------------------
 # entropic solver
 # ---------------------------------------------------------------------------
+
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """``log(sum(exp(a), axis))``, shifted by the maximum along ``axis``."""
+    top = a.max(axis=axis, keepdims=True)
+    # A slice that is all -inf (or holds +inf) is left unshifted.
+    top[~np.isfinite(top)] = 0.0
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(a - top).sum(axis=axis)) + np.squeeze(top, axis=axis)
+
 
 def solve_pairwise_entropic(
     mu: DiscreteMeasure,
@@ -556,8 +554,8 @@ def solve_pairwise_entropic(
                     f"sinkhorn did not reach marginal error {tol:.1e} in {max_iter} iterations"
                 )
             spent += 1
-            f = -eps * logsumexp((g[None, :] - cost) / eps + log_b[None, :], axis=1)
-            g = -eps * logsumexp((f[:, None] - cost) / eps + log_a[:, None], axis=0)
+            f = -eps * _logsumexp((g[None, :] - cost) / eps + log_b[None, :], axis=1)
+            g = -eps * _logsumexp((f[:, None] - cost) / eps + log_a[:, None], axis=0)
             log_plan = (f[:, None] + g[None, :] - cost) / eps + log_a[:, None] + log_b[None, :]
             plan = np.exp(log_plan)
             err = max(

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import baryflow
 from baryflow import DiscreteMeasure, load_measure, save_measure, solve_mmot
 from baryflow.cli import main
 
@@ -206,3 +210,15 @@ class TestParser:
     def test_command_required(self, capsys):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestImport:
+    def test_no_scipy_on_import(self):
+        # numpy is the only runtime dependency; scipy serves the test oracles
+        src = str(Path(baryflow.__file__).resolve().parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import baryflow, baryflow.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert run.stdout.strip() == "[]"

@@ -16,16 +16,13 @@ from baryflow import (
     MultiPlan,
     NegativeWeightError,
     NonFiniteCoordinateError,
-    NonFiniteImageError,
     WeightSumError,
     canonicalize,
     load_measure,
     marginal,
     measure_from_dict,
-    measure_to_csv,
     measure_to_dict,
     measures_close,
-    pushforward,
     save_measure,
     validate_coupling,
     validate_measure,
@@ -126,40 +123,6 @@ class TestCanonicalize:
         twice = canonicalize(once)
         assert np.array_equal(once.points, twice.points)
         assert np.array_equal(once.weights, twice.weights)
-
-
-class TestPushforward:
-    def test_identity_on_canonical_measure(self):
-        m = canonicalize(DiscreteMeasure([[0.5], [0.1]], [0.5, 0.5]))
-        out = pushforward(m, lambda x: x)
-        assert np.array_equal(out.points, m.points)
-        assert np.array_equal(out.weights, m.weights)
-
-    def test_constant_map_collapses_everything(self):
-        m = DiscreteMeasure([[0.0], [1.0], [2.0]], [0.2, 0.3, 0.5])
-        out = pushforward(m, lambda x: np.zeros(2))
-        assert len(out) == 1
-        assert out.weights[0] == pytest.approx(1.0, abs=1e-15)
-
-    def test_affine_map(self):
-        m = DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])
-        out = pushforward(m, lambda x: 2.0 * x + 1.0)
-        assert np.array_equal(out.points, [[1.0], [3.0]])
-
-    def test_scalar_images_allowed_in_one_dimension(self):
-        m = DiscreteMeasure([[1.0], [2.0]], [0.5, 0.5])
-        out = pushforward(m, lambda x: float(x[0]) ** 2)
-        assert np.array_equal(out.points, [[1.0], [4.0]])
-
-    def test_non_finite_image_rejected(self):
-        m = DiscreteMeasure([[0.0]], [1.0])
-        with pytest.raises(NonFiniteImageError):
-            pushforward(m, lambda x: np.array([np.inf]))
-
-    def test_mixed_image_shapes_rejected(self):
-        m = DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])
-        with pytest.raises(DimensionMismatchError):
-            pushforward(m, lambda x: np.zeros(1) if x[0] == 0.0 else np.zeros(2))
 
 
 class TestCoupling:
@@ -281,12 +244,3 @@ class TestSerialization:
     def test_malformed_dict_rejected(self):
         with pytest.raises(DimensionMismatchError):
             measure_from_dict({"points": [[0.0]]})
-
-    def test_csv_format(self, tmp_path):
-        m = DiscreteMeasure([[0.0, 1.0], [2.0, 3.0]], [0.25, 0.75])
-        path = tmp_path / "m.csv"
-        measure_to_csv(m, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "index,x_1,x_2,weight"
-        assert lines[1] == "0,0.0,1.0,0.25"
-        assert lines[2] == "1,2.0,3.0,0.75"
