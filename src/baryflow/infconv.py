@@ -104,25 +104,51 @@ class BarycenterResult:
         object.__setattr__(self, "barycenter", _freeze(self.barycenter, float))
 
 
+def _sum_points(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=1)``, added one slice at a time.
+
+    numpy reduces a short middle axis slowly.  Below 8 entries its sum is
+    a left-to-right loop from zero, which this reproduces bit for bit;
+    longer axes are left to numpy, which sums them pairwise.
+    """
+    if a.shape[1] >= 8:
+        return a.sum(axis=1)
+    out = np.zeros(a.shape[:1] + a.shape[2:])
+    for i in range(a.shape[1]):
+        out += a[:, i]
+    return out
+
+
+def _norm(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis, bit-equal to ``np.linalg.norm``."""
+    sq = a * a
+    if a.shape[-1] >= 8:
+        return np.sqrt(sq.sum(axis=-1))
+    out = np.zeros(a.shape[:-1])
+    for j in range(a.shape[-1]):
+        out += sq[..., j]
+    return np.sqrt(out, out=out)
+
+
 def _objective(points: np.ndarray, z: np.ndarray, p: float) -> np.ndarray:
     """Batched ``sum_i |x_i - z|^p`` for points (m, N, d), z (m, d)."""
-    r = np.linalg.norm(points - z[:, None, :], axis=2)
-    return (r**p).sum(axis=1)
+    return _sum_points(_norm(points - z[:, None, :]) ** p)
 
 
 def _gradient_state(points: np.ndarray, z: np.ndarray, p: float):
-    """Return (residual vector, residual norm, scale, radii) per row.
+    """Return (residual vector, residual norm, scale, radii, displacements).
 
     The residual is ``sum_i p r_i^(p-2) (x_i - z)``, the negative of the
     objective gradient; ``scale = 1 + sum_i r_i^(p-1)`` normalizes it.
+    The displacements are ``x_i - z``, shape (m, N, d).
     """
     diff = points - z[:, None, :]
-    r = np.linalg.norm(diff, axis=2)
+    r = _norm(diff)
     safe = np.where(r > 0.0, r, 1.0)
     coeff = np.where(r > 0.0, p * safe ** (p - 2.0), 0.0)
-    resid = (coeff[:, :, None] * diff).sum(axis=1)
-    scale = 1.0 + (r ** (p - 1.0)).sum(axis=1)
-    return resid, np.linalg.norm(resid, axis=1), scale, r
+    resid = _sum_points(coeff[:, :, None] * diff)
+    scale = 1.0 + _sum_points(r ** (p - 1.0))
+    return resid, _norm(resid), scale, r, diff
 
 
 def batch_barycenters(
@@ -158,51 +184,56 @@ def batch_barycenters(
 
     if p == 2.0:
         z = pts.mean(axis=1)
-        resid, resid_norm, _, r = _gradient_state(pts, z, p)
-        return z, (r**2).sum(axis=1), resid_norm
+        _, resid_norm, _, r, _ = _gradient_state(pts, z, p)
+        return z, _sum_points(r**2), resid_norm
 
     z = pts.mean(axis=1).copy()
     values = np.zeros(m)
     grad_norms = np.zeros(m)
     active = np.ones(m, dtype=bool)
+    eye = np.eye(pts.shape[2])
 
+    # One gradient state is evaluated per iteration: the state at the
+    # trial point is the next iteration's state for the rows that take it,
+    # and only rows moved by the line search are evaluated afresh.  Every
+    # row is computed independently, so this gives the same bits as
+    # evaluating each iterate from scratch.
+    idx = np.flatnonzero(active)
+    x = pts[idx]
+    state = _gradient_state(x, z[idx], p)
     for _ in range(max_iter):
-        idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        x = pts[idx]
         zz = z[idx]
-        resid, resid_norm, scale, r = _gradient_state(x, zz, p)
-        obj = (r**p).sum(axis=1)
+        resid, resid_norm, scale, r, diff = state
 
         finished = resid_norm <= tol * scale
         if finished.any():
             rows = idx[finished]
-            values[rows] = obj[finished]
+            values[rows] = _sum_points(r[finished] ** p)
             grad_norms[rows] = resid_norm[finished]
             active[rows] = False
             keep = ~finished
             if not keep.any():
                 break
             idx, x, zz = idx[keep], x[keep], zz[keep]
-            resid, resid_norm, scale, r = resid[keep], resid_norm[keep], scale[keep], r[keep]
-            obj = obj[keep]
+            resid, resid_norm, scale, r, diff = resid[keep], resid_norm[keep], scale[keep], r[keep], diff[keep]
 
         # Newton step on the remaining rows.  The Hessian of the
         # objective is p sum_i r^(p-2) (I + (p-2) u u^T) with u the unit
         # displacement; radii are floored for p < 2 to keep it bounded.
-        d = x.shape[2]
         r_h = np.maximum(r, _PROXIMITY) if p < 2.0 else r
         safe = np.where(r_h > 0.0, r_h, 1.0)
         iso = np.where(r_h > 0.0, p * safe ** (p - 2.0), 0.0)
-        diff = x - zz[:, None, :]
         u = np.where(r[:, :, None] > 0.0, diff / np.where(r[:, :, None] > 0.0, r[:, :, None], 1.0), 0.0)
-        eye = np.eye(d)
-        hess = (iso[:, :, None, None] * (eye + (p - 2.0) * u[:, :, :, None] * u[:, :, None, :])).sum(axis=1)
+        terms = (p - 2.0) * u[:, :, :, None] * u[:, :, None, :]
+        terms += eye
+        terms *= iso[:, :, None, None]
+        hess = _sum_points(terms)
         trace = np.trace(hess, axis1=1, axis2=2)
-        hess = hess + (1e-12 * (1.0 + trace))[:, None, None] * eye
+        hess += (1e-12 * (1.0 + trace))[:, None, None] * eye
         step = np.linalg.solve(hess, resid[:, :, None])[:, :, 0]
-        descent = (resid * step).sum(axis=1)
+        descent = _sum_points(resid * step)
 
         # Rows where the Newton direction is unusable fall back to a
         # reweighted average (fixed-point step of the stationarity map).
@@ -220,25 +251,33 @@ def batch_barycenters(
         # below float granularity and cannot drive a line search, while
         # the gradient norm keeps a clean signal all the way down.
         z_try = zz + step
-        _, try_norm, _, _ = _gradient_state(x, z_try, p)
-        search = try_norm > 0.9 * resid_norm
+        state = _gradient_state(x, z_try, p)
+        search = state[1] > 0.9 * resid_norm
         if search.any():
+            # Armijo backtracking, on the rows where the full step fails
+            # the sufficient-decrease test.  The trial state holds the
+            # radii at the full step, so its objective costs no new norm.
             rows = np.flatnonzero(search)
-            x_s, zz_s, step_s = x[rows], zz[rows], step[rows]
-            floor = obj[rows] - _ARMIJO * descent[rows]
-            t = np.ones(len(rows))
-            z_s = zz_s + step_s
-            obj_s = _objective(x_s, z_s, p)
-            need = obj_s > floor
-            for _halving in range(_MAX_HALVINGS):
-                if not need.any():
-                    break
-                t[need] *= 0.5
-                z_s[need] = zz_s[need] + t[need, None] * step_s[need]
-                obj_s[need] = _objective(x_s[need], z_s[need], p)
-                need = obj_s > obj[rows] - _ARMIJO * t * descent[rows]
-            z_s[need] = zz_s[need]
-            z_try[rows] = z_s
+            obj = _sum_points(r[rows] ** p)
+            short = _sum_points(state[3][rows] ** p) > obj - _ARMIJO * descent[rows]
+            if short.any():
+                rows, obj = rows[short], obj[short]
+                x_s, zz_s, step_s, descent_s = x[rows], zz[rows], step[rows], descent[rows]
+                t = np.ones(len(rows))
+                z_s = zz_s.copy()
+                obj_s = obj.copy()
+                need = np.ones(len(rows), dtype=bool)
+                for _halving in range(_MAX_HALVINGS):
+                    if not need.any():
+                        break
+                    t[need] *= 0.5
+                    z_s[need] = zz_s[need] + t[need, None] * step_s[need]
+                    obj_s[need] = _objective(x_s[need], z_s[need], p)
+                    need = obj_s > obj - _ARMIJO * t * descent_s
+                z_s[need] = zz_s[need]
+                z_try[rows] = z_s
+                for part, fresh in zip(state, _gradient_state(x_s, z_s, p)):
+                    part[rows] = fresh
         z[idx] = z_try
 
     # Minimizers that sit almost exactly on a data point defeat Newton
@@ -247,15 +286,15 @@ def batch_barycenters(
     # keep the refined point only where it actually lowers the residual.
     for row in np.flatnonzero(active):
         z_ref = _pinned_polish(pts[row], z[row], p, tol)
-        _, rn_old, _, _ = _gradient_state(pts[row][None], z[row][None], p)
-        _, rn_new, _, _ = _gradient_state(pts[row][None], z_ref[None], p)
+        rn_old = _gradient_state(pts[row][None], z[row][None], p)[1]
+        rn_new = _gradient_state(pts[row][None], z_ref[None], p)[1]
         if rn_new[0] < rn_old[0]:
             z[row] = z_ref
 
     idx = np.flatnonzero(active)
     if idx.size:
-        resid, resid_norm, scale, r = _gradient_state(pts[idx], z[idx], p)
-        obj = (r**p).sum(axis=1)
+        _, resid_norm, scale, r, _ = _gradient_state(pts[idx], z[idx], p)
+        obj = _sum_points(r**p)
         late = resid_norm <= tol * scale
         rows = idx[late]
         values[rows] = obj[late]
@@ -292,7 +331,7 @@ def _pinned_polish(points: np.ndarray, z0: np.ndarray, p: float, tol: float, max
             zz = anchor.copy()
         else:
             zz = anchor - (gn / p) ** (1.0 / (p - 1.0)) * (g / gn)
-        _, rn, scale, _ = _gradient_state(points[None], zz[None], p)
+        _, rn, scale, _, _ = _gradient_state(points[None], zz[None], p)
         if rn[0] <= tol * scale[0]:
             break
     return zz

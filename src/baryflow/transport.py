@@ -210,28 +210,36 @@ def _transport_simplex(
     bland_after = 3 * (n_rows + flat_costs.size)
     max_iter = 10_000 + 100 * (n_rows + flat_costs.size)
 
-    def columns(flat: np.ndarray) -> np.ndarray:
-        """Constraint columns of the tuples at the given flat indices."""
-        out = np.zeros((n_rows + 1, len(flat)))
-        for rows, atoms in zip(row_of, np.unravel_index(flat, sizes)):
-            out[rows[atoms], np.arange(len(flat))] = 1.0
-        return out[:n_rows]
-
     def inverse_of(flat: np.ndarray) -> np.ndarray:
-        """Freshly formed inverse of the basis matrix of these tuples."""
+        """Freshly formed basis inverse of these tuples, with a zero last
+        column standing for the dropped rows."""
+        matrix = np.zeros((n_rows + 1, n_rows))
+        for rows, atoms in zip(row_of, np.unravel_index(flat, sizes)):
+            matrix[rows[atoms], np.arange(n_rows)] = 1.0
+        out = np.zeros((n_rows, n_rows + 1))
         try:
-            return np.linalg.inv(columns(flat))
+            out[:, :n_rows] = np.linalg.inv(matrix[:n_rows])
         except np.linalg.LinAlgError:
             raise CycleLimitError("transport basis is singular; data is ill-conditioned") from None
+        return out
 
     basis = np.ravel_multi_index(_northwest_corner(weights).T, sizes)
     inverse, updates = inverse_of(basis), 0
+    duals = np.zeros(n_rows + 1)
+    # Summed potentials over the leading k + 1 grid axes, k = 1..N-1; the
+    # last buffer is the whole grid and ends up holding the reduced costs.
+    partial = [np.empty(sizes[: k + 1]) for k in range(1, len(sizes))]
+    reduced = partial[-1].reshape(-1)
     pivots = 0
     while True:
-        x_basic = inverse @ b
-        duals = np.append(flat_costs[basis] @ inverse, 0.0)
+        square = inverse[:, :n_rows]
+        x_basic = square @ b
+        np.matmul(flat_costs[basis], square, out=duals[:n_rows])
         potentials = [duals[rows] for rows in row_of]
-        reduced = (costs - sum(np.ix_(*potentials))).ravel()
+        summed = potentials[0]
+        for pot, buf in zip(potentials[1:], partial):
+            summed = np.add(summed[..., None], pot, out=buf)
+        np.subtract(costs, summed, out=summed)
         reduced[basis] = 0.0
 
         if pivots >= bland_after:
@@ -239,7 +247,7 @@ def _transport_simplex(
             negatives = np.flatnonzero(reduced < -OPT_TOL)
             entering = int(negatives[0]) if negatives.size else -1
         else:
-            entering = int(np.argmin(reduced))
+            entering = int(reduced.argmin())
             if reduced[entering] >= -OPT_TOL:
                 entering = -1
         if entering < 0:
@@ -253,7 +261,9 @@ def _transport_simplex(
         if pivots > max_iter:
             raise CycleLimitError(f"no optimum after {pivots - 1} pivots")
 
-        direction = inverse @ columns(np.array([entering]))[:, 0]
+        # The entering column holds a one in the row of each of its atoms.
+        atoms = np.unravel_index(entering, sizes)
+        direction = inverse[:, [rows[atom] for rows, atom in zip(row_of, atoms)]].sum(axis=1)
         positive = direction > _RATIO_PIVOT_TOL
         if not positive.any():
             # A feasible transport LP is bounded; this means the basis
@@ -271,7 +281,7 @@ def _transport_simplex(
         else:
             # Product-form update: eliminate the entering column.
             row = inverse[leave] / direction[leave]
-            inverse -= np.outer(direction, row)
+            inverse -= direction[:, None] * row
             inverse[leave] = row
 
     order = np.argsort(basis)

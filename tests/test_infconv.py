@@ -154,6 +154,19 @@ class TestBatch:
                 assert np.allclose(z[i], one.barycenter, atol=1e-9)
                 assert val[i] == pytest.approx(one.value, rel=1e-12)
 
+    @pytest.mark.parametrize("p", [1.2, 1.5, 3.0])
+    def test_rows_bit_equal_to_solo_solves(self, p):
+        # every row is iterated on its own, whatever else is in the batch,
+        # so solving a row alone must give the very same bits
+        rng = np.random.default_rng(19)
+        pts = rng.uniform(0.0, 1.0, size=(300, 3, 2))
+        z, val, grad = batch_barycenters(pts, p)
+        for i in range(len(pts)):
+            z_i, val_i, grad_i = batch_barycenters(pts[i : i + 1], p)
+            assert np.array_equal(z[i : i + 1], z_i)
+            assert np.array_equal(val[i : i + 1], val_i)
+            assert np.array_equal(grad[i : i + 1], grad_i)
+
     def test_empty_batch(self):
         z, val, grad = batch_barycenters(np.zeros((0, 3, 2)), 1.5)
         assert z.shape == (0, 2)
