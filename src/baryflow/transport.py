@@ -71,8 +71,13 @@ MASS_CUTOFF = 1e-12
 # Optimality tolerance on reduced costs.
 OPT_TOL = 1e-9
 # Entries of the basis-transformed entering column below this are treated
-# as nonpositive in the ratio test.
+# as nonpositive in the ratio test.  On its own this admits pivots on
+# roundoff-sized entries, which blow up the product-form inverse; the
+# Harris pass below keeps the pivot element large instead.
 _RATIO_PIVOT_TOL = 1e-10
+# Feasibility relaxation of the Harris ratio test: basic masses may dip
+# this far below zero so that a larger pivot element can be chosen.
+_HARRIS_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -185,9 +190,12 @@ def _transport_simplex(
     the N - 1 redundant rows), so those potentials are zero.  The inverse
     of the R x R 0/1 basis is updated in product form at each pivot and
     formed afresh every R pivots and before an optimum is accepted, so
-    the returned masses and potentials come from a fresh inverse.  All
-    tuples are priced by broadcasting the potentials over the grid:
-    Dantzig's rule, then Bland's after ``3 * (rows + cols)`` pivots.
+    the returned masses and potentials come from a fresh inverse; the
+    entering direction is the sum of its columns for the entering
+    tuple's atoms.  All tuples are priced by broadcasting the potentials
+    into preallocated buffers.  Dantzig's rule picks the entering tuple
+    and Harris's two-pass ratio test the leaving row; after
+    ``3 * (rows + cols)`` pivots Bland's rule takes over both choices.
 
     Returns the ascending C-order flat indices of the tuples with mass
     above ``MASS_CUTOFF``, their masses, the optimal value and one
@@ -242,7 +250,8 @@ def _transport_simplex(
         np.subtract(costs, summed, out=summed)
         reduced[basis] = 0.0
 
-        if pivots >= bland_after:
+        bland = pivots >= bland_after
+        if bland:
             # Bland's rule: lowest-index improving column, guaranteed finite.
             negatives = np.flatnonzero(reduced < -OPT_TOL)
             entering = int(negatives[0]) if negatives.size else -1
@@ -264,16 +273,24 @@ def _transport_simplex(
         # The entering column holds a one in the row of each of its atoms.
         atoms = np.unravel_index(entering, sizes)
         direction = inverse[:, [rows[atom] for rows, atom in zip(row_of, atoms)]].sum(axis=1)
-        positive = direction > _RATIO_PIVOT_TOL
-        if not positive.any():
+        candidates = np.flatnonzero(direction > _RATIO_PIVOT_TOL)
+        if not candidates.size:
             # A feasible transport LP is bounded; this means the basis
             # matrix has degenerated numerically.
             raise CycleLimitError("transport basis lost boundedness; data is ill-conditioned")
-        ratios = np.full(n_rows, np.inf)
-        ratios[positive] = np.maximum(x_basic[positive], 0.0) / direction[positive]
-        ties = np.flatnonzero(ratios == ratios.min())
-        # Among tied rows leave the lowest variable index (Bland-compatible).
-        leave = ties[np.argmin(basis[ties])]
+        level = np.maximum(x_basic[candidates], 0.0)
+        ratios = level / direction[candidates]
+        if bland:
+            # Among tied rows leave the lowest variable index.
+            ties = candidates[ratios == ratios.min()]
+            leave = ties[np.argmin(basis[ties])]
+        else:
+            # Harris's two passes: bound the step with feasibility relaxed
+            # by _HARRIS_TOL, then leave on the largest pivot element among
+            # the rows whose ratio is within that bound.
+            bound = ((level + _HARRIS_TOL) / direction[candidates]).min()
+            within = candidates[ratios <= bound]
+            leave = within[np.argmax(direction[within])]
         basis[leave] = entering
         updates += 1
         if updates == n_rows:

@@ -4,7 +4,8 @@ The simplex behind ``solve_pairwise`` and ``solve_mmot`` is called here
 directly on cost grids of shape ``(n_1, ..., n_N)``, with arbitrary costs
 rather than distance costs, and checked against scipy's HiGHS on the
 explicit equality system (all ``sum(n_k)`` marginal rows, redundant ones
-included).
+included).  Grids too large for a dense system go through ``solve_mmot``
+at p = 2, against HiGHS on a sparse system with closed-form costs.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse
 
-from baryflow import NonFiniteCoordinateError
+from baryflow import NonFiniteCoordinateError, random_marginals, solve_mmot
 from baryflow.transport import _transport_simplex
 
 
@@ -21,6 +23,23 @@ def marginal_rows(sizes: tuple[int, ...]) -> np.ndarray:
     """One 0/1 row per atom of every marginal over the C-order tuple grid."""
     grid = np.indices(sizes).reshape(len(sizes), -1)
     return np.vstack([grid[k] == i for k, n in enumerate(sizes) for i in range(n)]).astype(float)
+
+
+def sparse_marginal_rows(sizes: tuple[int, ...]) -> scipy.sparse.csr_array:
+    """``marginal_rows(sizes)`` as a sparse matrix."""
+    grid = np.indices(sizes).reshape(len(sizes), -1)
+    offsets = np.cumsum((0,) + sizes[:-1])
+    rows = (grid + offsets[:, None]).ravel()
+    cols = np.tile(np.arange(grid.shape[1]), len(sizes))
+    return scipy.sparse.csr_array((np.ones(rows.size), (rows, cols)), shape=(sum(sizes), grid.shape[1]))
+
+
+def quadratic_grid_costs(points: list[np.ndarray]) -> np.ndarray:
+    """``inf_z sum_k |x_k - z|^2`` on the tuple grid: deviation from the mean."""
+    n = len(points)
+    spread = [pts.reshape((1,) * k + (-1,) + (1,) * (n - k - 1) + pts.shape[1:]) for k, pts in enumerate(points)]
+    mean = sum(spread) / n
+    return sum(((x - mean) ** 2).sum(axis=-1) for x in spread)
 
 
 def random_weights(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -156,3 +175,21 @@ class TestCycling:
         assert reduced_costs(costs, potentials).min() >= -1e-9
         assert masses.sum() == pytest.approx(1.0)
         assert len(flat) <= 2 * n - 1
+
+
+class TestLargeGrids:
+    @pytest.mark.parametrize(
+        "seed, n_atoms", [(16, 30), (2, 50)], ids=["30x30x30-seed16", "50x50x50-seed2"]
+    )
+    def test_quadratic_grid_matches_highs(self, seed, n_atoms):
+        # these grids once drove the ratio test onto entering-column entries
+        # of about 1e-10, pure roundoff, until the basis inverse blew up and
+        # the solve raised CycleLimitError
+        mus = random_marginals(seed, 3, n_atoms, 2)
+        sizes = (n_atoms,) * 3
+        A, b = sparse_marginal_rows(sizes), np.concatenate([mu.weights for mu in mus])
+        ref = highs_value(quadratic_grid_costs([mu.points for mu in mus]), A, b)
+        result = solve_mmot(mus, 2.0)
+        assert result.value == pytest.approx(ref, rel=1e-8, abs=1e-10)
+        flat = np.ravel_multi_index(result.plan.indices.T, sizes)
+        assert np.abs(A @ dense_plan(flat, result.plan.masses, sizes) - b).max() < 1e-9
