@@ -206,6 +206,7 @@ def _transport_simplex(
     if not np.isfinite(costs).all():
         raise NonFiniteCoordinateError("transport costs must be finite")
     sizes = costs.shape
+    grid = "x".join(map(str, sizes))
     n_rows = sum(sizes) - len(sizes) + 1
     # Constraint row of each atom; dropped rows point at the extra row
     # n_rows, whose dual is the fixed zero.
@@ -228,17 +229,20 @@ def _transport_simplex(
         try:
             out[:, :n_rows] = np.linalg.inv(matrix[:n_rows])
         except np.linalg.LinAlgError:
-            raise CycleLimitError("transport basis is singular; data is ill-conditioned") from None
+            raise CycleLimitError(
+                f"transport basis is singular on the {grid} grid after {pivots} pivots; "
+                "data is ill-conditioned"
+            ) from None
         return out
 
     basis = np.ravel_multi_index(_northwest_corner(weights).T, sizes)
+    pivots = 0
     inverse, updates = inverse_of(basis), 0
     duals = np.zeros(n_rows + 1)
     # Summed potentials over the leading k + 1 grid axes, k = 1..N-1; the
     # last buffer is the whole grid and ends up holding the reduced costs.
     partial = [np.empty(sizes[: k + 1]) for k in range(1, len(sizes))]
     reduced = partial[-1].reshape(-1)
-    pivots = 0
     while True:
         square = inverse[:, :n_rows]
         x_basic = square @ b
@@ -268,7 +272,7 @@ def _transport_simplex(
 
         pivots += 1
         if pivots > max_iter:
-            raise CycleLimitError(f"no optimum after {pivots - 1} pivots")
+            raise CycleLimitError(f"no optimum on the {grid} grid after {pivots - 1} pivots")
 
         # The entering column holds a one in the row of each of its atoms.
         atoms = np.unravel_index(entering, sizes)
@@ -277,7 +281,10 @@ def _transport_simplex(
         if not candidates.size:
             # A feasible transport LP is bounded; this means the basis
             # matrix has degenerated numerically.
-            raise CycleLimitError("transport basis lost boundedness; data is ill-conditioned")
+            raise CycleLimitError(
+                f"transport basis lost boundedness on the {grid} grid after {pivots} pivots; "
+                "data is ill-conditioned"
+            )
         level = np.maximum(x_basic[candidates], 0.0)
         ratios = level / direction[candidates]
         if bland:
@@ -395,7 +402,10 @@ def _tuple_grid(
         [marginals[k].points[indices[:, k]] for k in range(len(marginals))],
         axis=1,
     )
-    barycenters, costs, _ = batch_barycenters(tuple_points, p, tol=newton_tol)
+    try:
+        barycenters, costs, _ = batch_barycenters(tuple_points, p, tol=newton_tol)
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"tuple grid {'x'.join(map(str, sizes))}: {exc}") from exc
     return indices, costs, barycenters
 
 

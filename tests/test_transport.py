@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from baryflow import (
+    ConvergenceError,
+    CycleLimitError,
     DimensionMismatchError,
     DiscreteMeasure,
     NonFiniteCoordinateError,
@@ -243,6 +245,13 @@ class TestMmot:
             solve_mmot(mus, 2.0, max_grid=63)
         solve_mmot(mus, 2.0, max_grid=64)
 
+    def test_unconverged_tuple_grid_named_in_error(self):
+        # a zero Newton tolerance cannot be met on spread-out tuples
+        rng = np.random.default_rng(19)
+        mus = [random_measure(rng, 2, 2), random_measure(rng, 3, 2)]
+        with pytest.raises(ConvergenceError, match=r"^tuple grid 2x3: \d+ of 6 barycenters unconverged"):
+            solve_mmot(mus, 1.5, newton_tol=0.0)
+
     def test_single_marginal_rejected(self):
         rng = np.random.default_rng(16)
         with pytest.raises(DimensionMismatchError):
@@ -359,6 +368,23 @@ class TestTransportSimplex:
         pair = solve_pairwise(mu, nu, p)
         assert pair.value == pytest.approx(assignment_value(a, b, p), rel=1e-10)
         assert_pairwise_certified(pair, mu, nu)
+
+    def test_singular_basis_error_names_grid_and_pivots(self, monkeypatch):
+        # the first basis inverse is formed; the next one, after some
+        # pivots, is reported singular
+        real_inv, calls = np.linalg.inv, []
+
+        def inv_once(matrix):
+            calls.append(len(matrix))
+            if len(calls) > 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real_inv(matrix)
+
+        monkeypatch.setattr(np.linalg, "inv", inv_once)
+        rng = np.random.default_rng(20)
+        mu, nu = random_measure(rng, 3, 2, uniform=False), random_measure(rng, 4, 2, uniform=False)
+        with pytest.raises(CycleLimitError, match=r"singular on the 3x4 grid after [1-9]\d* pivots"):
+            solve_pairwise(mu, nu, 2.0)
 
     def test_overflowing_costs_rejected(self):
         mu = DiscreteMeasure([[0.0], [1e200]], [0.5, 0.5])
