@@ -104,7 +104,7 @@ class BarycenterResult:
         object.__setattr__(self, "barycenter", _freeze(self.barycenter, float))
 
 
-def _sum_points(a: np.ndarray) -> np.ndarray:
+def _sum_axis1(a: np.ndarray) -> np.ndarray:
     """``a.sum(axis=1)``, added one slice at a time.
 
     numpy reduces a short middle axis slowly.  Below 8 entries its sum is
@@ -132,7 +132,7 @@ def _norm(a: np.ndarray) -> np.ndarray:
 
 def _objective(points: np.ndarray, z: np.ndarray, p: float) -> np.ndarray:
     """Batched ``sum_i |x_i - z|^p`` for points (m, N, d), z (m, d)."""
-    return _sum_points(_norm(points - z[:, None, :]) ** p)
+    return _sum_axis1(_norm(points - z[:, None, :]) ** p)
 
 
 def _gradient_state(points: np.ndarray, z: np.ndarray, p: float):
@@ -146,8 +146,8 @@ def _gradient_state(points: np.ndarray, z: np.ndarray, p: float):
     r = _norm(diff)
     safe = np.where(r > 0.0, r, 1.0)
     coeff = np.where(r > 0.0, p * safe ** (p - 2.0), 0.0)
-    resid = _sum_points(coeff[:, :, None] * diff)
-    scale = 1.0 + _sum_points(r ** (p - 1.0))
+    resid = _sum_axis1(coeff[:, :, None] * diff)
+    scale = 1.0 + _sum_axis1(r ** (p - 1.0))
     return resid, _norm(resid), scale, r, diff
 
 
@@ -185,7 +185,7 @@ def batch_barycenters(
     if p == 2.0:
         z = pts.mean(axis=1)
         _, resid_norm, _, r, _ = _gradient_state(pts, z, p)
-        return z, _sum_points(r**2), resid_norm
+        return z, _sum_axis1(r**2), resid_norm
 
     z = pts.mean(axis=1).copy()
     values = np.zeros(m)
@@ -210,7 +210,7 @@ def batch_barycenters(
         finished = resid_norm <= tol * scale
         if finished.any():
             rows = idx[finished]
-            values[rows] = _sum_points(r[finished] ** p)
+            values[rows] = _sum_axis1(r[finished] ** p)
             grad_norms[rows] = resid_norm[finished]
             active[rows] = False
             keep = ~finished
@@ -229,11 +229,11 @@ def batch_barycenters(
         terms = (p - 2.0) * u[:, :, :, None] * u[:, :, None, :]
         terms += eye
         terms *= iso[:, :, None, None]
-        hess = _sum_points(terms)
+        hess = _sum_axis1(terms)
         trace = np.trace(hess, axis1=1, axis2=2)
         hess += (1e-12 * (1.0 + trace))[:, None, None] * eye
         step = np.linalg.solve(hess, resid[:, :, None])[:, :, 0]
-        descent = _sum_points(resid * step)
+        descent = _sum_axis1(resid * step)
 
         # Rows where the Newton direction is unusable fall back to a
         # reweighted average (fixed-point step of the stationarity map).
@@ -252,14 +252,15 @@ def batch_barycenters(
         # the gradient norm keeps a clean signal all the way down.
         z_try = zz + step
         state = _gradient_state(x, z_try, p)
-        search = state[1] > 0.9 * resid_norm
+        _, try_norm, _, try_r, _ = state
+        search = try_norm > 0.9 * resid_norm
         if search.any():
             # Armijo backtracking, on the rows where the full step fails
             # the sufficient-decrease test.  The trial state holds the
             # radii at the full step, so its objective costs no new norm.
             rows = np.flatnonzero(search)
-            obj = _sum_points(r[rows] ** p)
-            short = _sum_points(state[3][rows] ** p) > obj - _ARMIJO * descent[rows]
+            obj = _sum_axis1(r[rows] ** p)
+            short = _sum_axis1(try_r[rows] ** p) > obj - _ARMIJO * descent[rows]
             if short.any():
                 rows, obj = rows[short], obj[short]
                 x_s, zz_s, step_s, descent_s = x[rows], zz[rows], step[rows], descent[rows]
@@ -294,7 +295,7 @@ def batch_barycenters(
     idx = np.flatnonzero(active)
     if idx.size:
         _, resid_norm, scale, r, _ = _gradient_state(pts[idx], z[idx], p)
-        obj = _sum_points(r**p)
+        obj = _sum_axis1(r**p)
         late = resid_norm <= tol * scale
         rows = idx[late]
         values[rows] = obj[late]

@@ -72,8 +72,9 @@ MASS_CUTOFF = 1e-12
 OPT_TOL = 1e-9
 # Entries of the basis-transformed entering column below this are treated
 # as nonpositive in the ratio test.  On its own this admits pivots on
-# roundoff-sized entries, which blow up the product-form inverse; the
-# Harris pass below keeps the pivot element large instead.
+# roundoff-sized entries, which blow up the product-form inverse; before
+# the switch to Bland's rule the Harris pass below keeps the pivot
+# element large.
 _RATIO_PIVOT_TOL = 1e-10
 # Feasibility relaxation of the Harris ratio test: basic masses may dip
 # this far below zero so that a larger pivot element can be chosen.
@@ -220,8 +221,8 @@ def _transport_simplex(
     max_iter = 10_000 + 100 * (n_rows + flat_costs.size)
 
     def inverse_of(flat: np.ndarray) -> np.ndarray:
-        """Freshly formed basis inverse of these tuples, with a zero last
-        column standing for the dropped rows."""
+        """Fresh basis inverse of these tuples, plus a zero last column
+        that stands for the dropped rows."""
         matrix = np.zeros((n_rows + 1, n_rows))
         for rows, atoms in zip(row_of, np.unravel_index(flat, sizes)):
             matrix[rows[atoms], np.arange(n_rows)] = 1.0
@@ -285,8 +286,8 @@ def _transport_simplex(
                 f"transport basis lost boundedness on the {grid} grid after {pivots} pivots; "
                 "data is ill-conditioned"
             )
-        level = np.maximum(x_basic[candidates], 0.0)
-        ratios = level / direction[candidates]
+        mass = np.maximum(x_basic[candidates], 0.0)
+        ratios = mass / direction[candidates]
         if bland:
             # Among tied rows leave the lowest variable index.
             ties = candidates[ratios == ratios.min()]
@@ -295,7 +296,7 @@ def _transport_simplex(
             # Harris's two passes: bound the step with feasibility relaxed
             # by _HARRIS_TOL, then leave on the largest pivot element among
             # the rows whose ratio is within that bound.
-            bound = ((level + _HARRIS_TOL) / direction[candidates]).min()
+            bound = ((mass + _HARRIS_TOL) / direction[candidates]).min()
             within = candidates[ratios <= bound]
             leave = within[np.argmax(direction[within])]
         basis[leave] = entering

@@ -31,13 +31,16 @@ def sparse_marginal_rows(sizes: tuple[int, ...]) -> scipy.sparse.csr_array:
     offsets = np.cumsum((0,) + sizes[:-1])
     rows = (grid + offsets[:, None]).ravel()
     cols = np.tile(np.arange(grid.shape[1]), len(sizes))
-    return scipy.sparse.csr_array((np.ones(rows.size), (rows, cols)), shape=(sum(sizes), grid.shape[1]))
+    shape = (sum(sizes), grid.shape[1])
+    return scipy.sparse.csr_array((np.ones(rows.size), (rows, cols)), shape=shape)
 
 
 def quadratic_grid_costs(points: list[np.ndarray]) -> np.ndarray:
     """``inf_z sum_k |x_k - z|^2`` on the tuple grid: deviation from the mean."""
     n = len(points)
-    spread = [pts.reshape((1,) * k + (-1,) + (1,) * (n - k - 1) + pts.shape[1:]) for k, pts in enumerate(points)]
+    spread = [
+        pts.reshape((1,) * k + (-1,) + (1,) * (n - k - 1) + pts.shape[1:]) for k, pts in enumerate(points)
+    ]
     mean = sum(spread) / n
     return sum(((x - mean) ** 2).sum(axis=-1) for x in spread)
 
