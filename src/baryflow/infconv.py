@@ -107,7 +107,7 @@ class BarycenterResult:
 def _sum_axis1(a: np.ndarray) -> np.ndarray:
     """``a.sum(axis=1)``, added one slice at a time.
 
-    numpy reduces a short middle axis slowly.  Below 8 entries its sum is
+    numpy reduces a short axis 1 slowly.  Below 8 entries its sum is
     a left-to-right loop from zero, which this reproduces bit for bit;
     longer axes are left to numpy, which sums them pairwise.
     """
