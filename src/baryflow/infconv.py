@@ -105,14 +105,14 @@ class BarycenterResult:
 
 
 def _sum_axis1(a: np.ndarray) -> np.ndarray:
-    """``a.sum(axis=1)``, added one slice at a time.
+    """``a.sum(axis=1)``, added one slice at a time in index order.
 
-    numpy reduces a short axis 1 slowly.  Below 8 entries its sum is
-    a left-to-right loop from zero, which this reproduces bit for bit;
-    longer axes are left to numpy, which sums them pairwise.
+    numpy reduces a short axis 1 slowly.  For fewer than 8 entries its
+    sum is this same left-to-right loop from zero, so the bits match;
+    longer axes (never met by the solvers here, which batch tuples of a
+    few points in the plane or on the line) round differently from
+    numpy's pairwise sum but are just as accurate.
     """
-    if a.shape[1] >= 8:
-        return a.sum(axis=1)
     out = np.zeros(a.shape[:1] + a.shape[2:])
     for i in range(a.shape[1]):
         out += a[:, i]
@@ -120,10 +120,8 @@ def _sum_axis1(a: np.ndarray) -> np.ndarray:
 
 
 def _norm(a: np.ndarray) -> np.ndarray:
-    """Euclidean norm over the last axis, bit-equal to ``np.linalg.norm``."""
+    """Euclidean norm over the last axis, summed like :func:`_sum_axis1`."""
     sq = a * a
-    if a.shape[-1] >= 8:
-        return np.sqrt(sq.sum(axis=-1))
     out = np.zeros(a.shape[:-1])
     for j in range(a.shape[-1]):
         out += sq[..., j]

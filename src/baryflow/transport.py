@@ -76,9 +76,12 @@ OPT_TOL = 1e-9
 # the switch to Bland's rule the Harris pass below keeps the pivot
 # element large.
 _RATIO_PIVOT_TOL = 1e-10
-# Feasibility relaxation of the Harris ratio test: basic masses may dip
-# this far below zero so that a larger pivot element can be chosen.
+# Feasibility relaxation of the Harris ratio test: a pivot may push a
+# basic mass this far below zero so that a larger pivot element can be
+# chosen.  Such dips can add up over pivots, so an optimum is accepted
+# only while no basic mass, from a fresh inverse, is below -_MASS_DIP_LIMIT.
 _HARRIS_TOL = 1e-11
+_MASS_DIP_LIMIT = 10 * _HARRIS_TOL
 
 
 @dataclass(frozen=True)
@@ -202,7 +205,9 @@ def _transport_simplex(
     above ``MASS_CUTOFF``, their masses, the optimal value and one
     potential vector per marginal.  Raises ``NonFiniteCoordinateError``
     on non-finite costs and ``CycleLimitError`` when the pivot budget
-    runs out or the basis degenerates numerically.
+    runs out, the basis degenerates numerically or a basic mass at the
+    optimum lies more than ``_MASS_DIP_LIMIT`` below zero (masses in
+    ``[-_MASS_DIP_LIMIT, 0)`` are returned as zero).
     """
     if not np.isfinite(costs).all():
         raise NonFiniteCoordinateError("transport costs must be finite")
@@ -309,6 +314,11 @@ def _transport_simplex(
             inverse -= direction[:, None] * row
             inverse[leave] = row
 
+    if x_basic.min() < -_MASS_DIP_LIMIT:
+        raise CycleLimitError(
+            f"basic mass {x_basic.min():.3e} below zero at the optimum on the {grid} grid "
+            f"after {pivots} pivots; data is ill-conditioned"
+        )
     order = np.argsort(basis)
     basis, masses = basis[order], np.maximum(x_basic[order], 0.0)
     keep = masses > MASS_CUTOFF

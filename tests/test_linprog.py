@@ -15,7 +15,7 @@ import pytest
 import scipy.optimize
 import scipy.sparse
 
-from baryflow import NonFiniteCoordinateError, random_marginals, solve_mmot
+from baryflow import CycleLimitError, NonFiniteCoordinateError, random_marginals, solve_mmot
 from baryflow.transport import _transport_simplex
 
 
@@ -72,6 +72,17 @@ class TestProblemValidation:
             costs = np.array([[0.0, bad], [1.0, 2.0]])
             with pytest.raises(NonFiniteCoordinateError):
                 _transport_simplex(costs, [np.full(2, 0.5), np.full(2, 0.5)])
+
+    def test_negative_mass_at_optimum_raises(self):
+        # the kept atoms of the second marginal outweigh the first, so the
+        # dropped atom's row implies a negative mass; it must be reported,
+        # not clipped to zero, while a dip inside the limit is returned as 0
+        costs = np.random.default_rng(0).random((3, 4))
+        first = np.full(3, 1 / 3)
+        with pytest.raises(CycleLimitError, match=r"basic mass -5\.000e-02 below zero .* 3x4 grid"):
+            _transport_simplex(costs, [first, np.array([0.3, 0.3, 0.45, 0.0])])
+        _, masses, _, _ = _transport_simplex(costs, [first, np.array([0.3, 0.3, 0.4 + 1e-12, 0.0])])
+        assert masses.min() > 0.0
 
 
 class TestSmallProblems:
