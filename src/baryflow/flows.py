@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as _cartesian
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -273,12 +273,73 @@ def momentum_balance_residual(flow: ParticleFlow) -> float:
     return float(max(plain.max(initial=0.0), weighted.max(initial=0.0)))
 
 
-def _test_monomials(dim: int, degree: int) -> Iterator[tuple[int, np.ndarray]]:
-    """All (time power, space multi-index) with total degree <= degree."""
-    for a in range(degree + 1):
-        for beta in _cartesian(range(degree + 1), repeat=dim):
-            if a + sum(beta) <= degree:
-                yield a, np.asarray(beta, dtype=int)
+def _weak_form(flow: ParticleFlow, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both sides of the weak continuity identity, for every family at once.
+
+    Returns ``(exponents, boundary, integral)``: ``exponents`` has one
+    row ``(a, beta_1, ..., beta_d)`` per test monomial ``t^a x^beta`` of
+    total degree at most ``degree`` (``a`` ascending, then ``beta`` in
+    lexicographic order), and ``boundary`` and ``integral`` have shape
+    (monomials, N) with
+
+        boundary = [<density, t^a x^beta>] from t = 0 to t = 1,
+        integral = int_0^1 <density, a t^(a-1) x^beta + t^a v . grad x^beta> dt.
+
+    All positions at the quadrature nodes and both end times are raised
+    to the powers ``0..degree`` once; each monomial and each lowered
+    monomial ``x^(beta - e_j)`` is then a product of ``d`` table entries,
+    and the mass sums over particles run once per coordinate.
+    """
+    K, N, d = flow.targets.shape
+    n_nodes = degree + 1
+    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    t_nodes = 0.5 * (nodes + 1.0)
+    times = np.concatenate([t_nodes, [0.0, 1.0]])[:, None, None, None]
+    positions = (1.0 - times) * flow.starts[:, None, :] + times * flow.targets
+
+    # powers[j, e] = (coordinate j of every position) ** e, by repeated products
+    powers = np.empty((d, degree + 1) + positions.shape[:-1])
+    powers[:, 0] = 1.0
+    coords = np.moveaxis(positions, -1, 0)
+    for e in range(1, degree + 1):
+        np.multiply(powers[:, e - 1], coords, out=powers[:, e])
+
+    betas = np.array(
+        [beta for beta in _cartesian(range(degree + 1), repeat=d) if sum(beta) <= degree],
+        dtype=int,
+    )
+    monomials = powers[0][betas[:, 0]]
+    for j in range(1, d):
+        monomials = monomials * powers[j][betas[:, j]]
+    # mass-weighted monomial sums, shape (B, nodes + 2, N)
+    sums = np.einsum("bqkn,k->bqn", monomials, flow.masses)
+
+    # advection sums  sum_j beta_j sum_k m_k v_kj y_k^(beta - e_j)  at the nodes
+    mass_velocities = flow.masses[:, None, None] * flow.velocities
+    advection = np.zeros((len(betas), n_nodes, N))
+    for j in range(d):
+        lowered = powers[j][np.maximum(betas[:, j] - 1, 0), :n_nodes]
+        for l in range(d):
+            if l != j:
+                lowered = lowered * powers[l][betas[:, l], :n_nodes]
+        advection += betas[:, j, None, None] * np.einsum(
+            "bqkn,kn->bqn", lowered, mass_velocities[:, :, j]
+        )
+
+    # time weights: w_q t_q^a for the advection, w_q a t_q^(a-1) for the time derivative
+    a = np.arange(degree + 1)
+    t_weights = 0.5 * weights * t_nodes ** a[:, None]
+    d_weights = np.zeros_like(t_weights)
+    d_weights[1:] = a[1:, None] * t_weights[:-1]
+    integral = np.einsum("aq,bqn->abn", d_weights, sums[:, :n_nodes]) + np.einsum(
+        "aq,bqn->abn", t_weights, advection
+    )
+    boundary = np.broadcast_to(sums[:, n_nodes + 1], integral.shape).copy()
+    boundary[0] -= sums[:, n_nodes]
+
+    a_idx, b_idx = np.nonzero(a[:, None] + betas.sum(axis=1) <= degree)
+    exponents = np.column_stack([a_idx, betas[b_idx]])
+    return exponents, boundary[a_idx, b_idx], integral[a_idx, b_idx]
 
 
 def continuity_residual(flow: ParticleFlow, i: int, degree: int = 4) -> float:
@@ -298,45 +359,13 @@ def continuity_residual(flow: ParticleFlow, i: int, degree: int = 4) -> float:
         raise IndexOutOfRangeError(f"family index {i} outside 0..{flow.n_marginals - 1}")
     if degree < 0:
         raise ValueError(f"degree must be nonnegative, got {degree}")
-    z = flow.starts
-    x = flow.targets[:, i, :]
-    v = x - z
-    m = flow.masses
-
-    nodes, weights = np.polynomial.legendre.leggauss(degree + 1)
-    t_nodes = 0.5 * (nodes + 1.0)
-    t_weights = 0.5 * weights
-
-    worst = 0.0
-    for a, beta in _test_monomials(flow.dim, degree):
-        end = float((m * (x**beta).prod(axis=1)).sum())
-        start = float((m * (z**beta).prod(axis=1)).sum()) if a == 0 else 0.0
-        boundary = end - start
-
-        integral = 0.0
-        for t, w in zip(t_nodes, t_weights):
-            y = (1.0 - t) * z + t * x
-            mono = (y**beta).prod(axis=1)
-            time_part = a * t ** (a - 1) * mono if a >= 1 else np.zeros(len(m))
-            advect = np.zeros(len(m))
-            for j in range(flow.dim):
-                if beta[j] == 0:
-                    continue
-                lowered = beta.copy()
-                lowered[j] -= 1
-                advect += beta[j] * (y**lowered).prod(axis=1) * v[:, j]
-            integral += w * float((m * (time_part + t**a * advect)).sum())
-        worst = max(worst, abs(boundary - integral))
-    return worst
+    _, boundary, integral = _weak_form(flow, degree)
+    return float(np.abs(boundary[:, i] - integral[:, i]).max())
 
 
 # ---------------------------------------------------------------------------
 # frame export
 # ---------------------------------------------------------------------------
-
-def _format_row(values: Sequence[object]) -> str:
-    return ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in values)
-
 
 def _write_frames(
     starts: np.ndarray,
@@ -345,9 +374,14 @@ def _write_frames(
     times: Sequence[float],
     path: str | Path,
 ) -> None:
-    """CSV frames of straight-line particles, ``targets`` shape (K, F, d)."""
+    """CSV frames of straight-line particles, ``targets`` shape (K, F, d).
+
+    Each frame's float columns are built as one array and turned into
+    Python floats with ``tolist``, so every number is written by
+    ``repr(float)``.
+    """
     times = [_check_time(t) for t in times]
-    d = starts.shape[1]
+    K, F, d = targets.shape
     header = (
         "t,flow,particle,mass,"
         + ",".join(f"x_{j + 1}" for j in range(d))
@@ -355,15 +389,14 @@ def _write_frames(
         + ",".join(f"v_{j + 1}" for j in range(d))
     )
     lines = [header]
-    velocities = targets - starts[:, None, :]
+    by_family = np.swapaxes(targets, 0, 1)  # (F, K, d)
+    velocities = (by_family - starts).reshape(F * K, d)
+    row_masses = np.tile(masses, F)
+    labels = [f"{i + 1},{k + 1}," for i in range(F) for k in range(K)]
     for t in times:
-        for i in range(targets.shape[1]):
-            positions = (1.0 - t) * starts + t * targets[:, i, :]
-            for k in range(len(masses)):
-                row = [float(t), i + 1, k + 1, float(masses[k])]
-                row += [float(c) for c in positions[k]]
-                row += [float(c) for c in velocities[k, i]]
-                lines.append(_format_row(row))
+        positions = ((1.0 - t) * starts + t * by_family).reshape(F * K, d)
+        rows = np.column_stack([row_masses, positions, velocities]).tolist()
+        lines += [f"{t!r},{label}" + ",".join(map(repr, row)) for label, row in zip(labels, rows)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

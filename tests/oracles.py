@@ -11,7 +11,7 @@ imported by the package itself.
 from __future__ import annotations
 
 import math
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 from scipy.optimize import linprog, minimize
@@ -157,3 +157,50 @@ def grid_barycenter_1d(xs: np.ndarray, p: float, step: float = 1e-6) -> tuple[fl
             fd = value(d)
     z = 0.5 * (a + b)
     return z, value(z)
+
+
+def continuity_terms_loop(flow, i: int, degree: int) -> list[tuple[int, tuple[int, ...], float, float]]:
+    """Weak continuity identity of family ``i``, one monomial at a time.
+
+    For every test monomial ``t^a x^beta`` of total degree at most
+    ``degree`` (``a`` ascending, then ``beta`` lexicographic) returns
+    ``(a, beta, boundary, integral)``: the change of ``<density, t^a
+    x^beta>`` from t = 0 to t = 1, and the time integral of
+    ``<density, a t^(a-1) x^beta + t^a v . grad x^beta>`` by
+    ``degree + 1`` point Gauss-Legendre quadrature, evaluated with plain
+    loops over the monomials, the nodes and the coordinates.
+    """
+    z = flow.starts
+    x = flow.targets[:, i, :]
+    v = x - z
+    m = flow.masses
+    dim = z.shape[1]
+
+    nodes, weights = np.polynomial.legendre.leggauss(degree + 1)
+    t_nodes = 0.5 * (nodes + 1.0)
+    t_weights = 0.5 * weights
+
+    terms = []
+    for a in range(degree + 1):
+        for beta_tuple in product(range(degree + 1), repeat=dim):
+            if a + sum(beta_tuple) > degree:
+                continue
+            beta = np.asarray(beta_tuple, dtype=int)
+            end = float((m * (x**beta).prod(axis=1)).sum())
+            start = float((m * (z**beta).prod(axis=1)).sum()) if a == 0 else 0.0
+
+            integral = 0.0
+            for t, w in zip(t_nodes, t_weights):
+                y = (1.0 - t) * z + t * x
+                mono = (y**beta).prod(axis=1)
+                time_part = a * t ** (a - 1) * mono if a >= 1 else np.zeros(len(m))
+                advect = np.zeros(len(m))
+                for j in range(dim):
+                    if beta[j] == 0:
+                        continue
+                    lowered = beta.copy()
+                    lowered[j] -= 1
+                    advect += beta[j] * (y**lowered).prod(axis=1) * v[:, j]
+                integral += w * float((m * (time_part + t**a * advect)).sum())
+            terms.append((a, beta_tuple, end - start, integral))
+    return terms

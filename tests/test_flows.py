@@ -29,6 +29,9 @@ from baryflow import (
     velocity_balance_residual,
     momentum_balance_residual,
 )
+from baryflow.flows import _weak_form
+
+from .oracles import continuity_terms_loop
 
 
 def random_measure(rng: np.random.Generator, n: int, d: int) -> DiscreteMeasure:
@@ -210,6 +213,76 @@ class TestResiduals:
     def test_continuity_degree_zero_is_mass_conservation(self, solved):
         _, _, flow = solved
         assert continuity_residual(flow, 0, degree=0) < 1e-15
+
+
+
+class TestContinuityKernel:
+    """The one-table kernel against the per-monomial loop it replaced."""
+
+    @pytest.mark.parametrize("n_families", [2, 3, 4])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_loop_reference(self, dim, n_families):
+        rng = np.random.default_rng(100 * dim + n_families)
+        K = 5
+        flow = ParticleFlow(
+            starts=rng.normal(size=(K, dim)),
+            targets=rng.normal(size=(K, n_families, dim)),
+            masses=rng.dirichlet(np.ones(K)),
+            p=2.0,
+        )
+        for degree in range(5):
+            exponents, boundary, integral = _weak_form(flow, degree)
+            assert boundary.shape == integral.shape == (len(exponents), n_families)
+            for i in range(n_families):
+                terms = continuity_terms_loop(flow, i, degree)
+                assert [[a, *beta] for a, beta, _, _ in terms] == exponents.tolist()
+                ref_boundary = np.array([b for _, _, b, _ in terms])
+                ref_integral = np.array([g for _, _, _, g in terms])
+                scale = max(1.0, np.abs(ref_boundary).max(), np.abs(ref_integral).max())
+                np.testing.assert_allclose(boundary[:, i], ref_boundary, rtol=1e-12, atol=1e-12 * scale)
+                np.testing.assert_allclose(integral[:, i], ref_integral, rtol=1e-12, atol=1e-12 * scale)
+
+    def test_empty_flow_is_zero(self):
+        flow = ParticleFlow(
+            starts=np.zeros((0, 2)), targets=np.zeros((0, 3, 2)), masses=np.zeros(0), p=2.0
+        )
+        for degree in (0, 4):
+            for i in range(3):
+                assert continuity_residual(flow, i, degree=degree) == 0.0
+                assert all(b == g == 0.0 for _, _, b, g in continuity_terms_loop(flow, i, degree))
+
+    def test_three_dimensional_flow_is_roundoff(self):
+        rng = np.random.default_rng(32)
+        result = solve_mmot([random_measure(rng, 3, 3) for _ in range(3)], 1.5)
+        flow = build_particle_flow(result)
+        exponents, boundary, integral = _weak_form(flow, 4)
+        defects = np.abs(boundary - integral)
+        # every axis carries monomials up to x_j^4, and each is roundoff
+        for j in range(1, 4):
+            on_axis = exponents[:, j] > 0
+            assert exponents[on_axis, j].max() == 4
+            assert defects[on_axis].max() < 1e-12
+        for i in range(flow.n_marginals):
+            assert continuity_residual(flow, i) < 1e-12
+
+    def test_degree_zero_on_solved_flow(self, solved):
+        _, _, flow = solved
+        exponents, boundary, integral = _weak_form(flow, 0)
+        assert exponents.tolist() == [[0, 0, 0]]
+        # the constant test function: equal total mass at both ends, no flux
+        assert np.array_equal(boundary, np.zeros((1, flow.n_marginals)))
+        assert np.array_equal(integral, np.zeros((1, flow.n_marginals)))
+        for i in range(flow.n_marginals):
+            assert continuity_residual(flow, i, degree=0) == 0.0
+
+    def test_errors_kept(self, solved):
+        _, _, flow = solved
+        with pytest.raises(IndexOutOfRangeError):
+            continuity_residual(flow, flow.n_marginals)
+        with pytest.raises(IndexOutOfRangeError):
+            continuity_residual(flow, -1)
+        with pytest.raises(ValueError):
+            continuity_residual(flow, 0, degree=-1)
 
 
 class TestExport:

@@ -11,8 +11,11 @@ from baryflow import (
     CheckOutcome,
     DiscreteMeasure,
     VerificationReport,
+    build_particle_flow,
+    continuity_residual,
     random_marginals,
     run_verification,
+    solve_mmot,
     translation_vector,
 )
 
@@ -133,6 +136,18 @@ class TestRunVerification:
         rep = run_verification(mus, 2.0)
         assert rep.checks["translation_invariance"].passed
         assert rep.passed, rep.failing()
+
+    def test_continuity_check_is_the_worst_family(self):
+        # at scale 1e3 the residual is roundoff on monomials near 1e12, so
+        # the families' residuals differ and are far from zero
+        mus = [
+            DiscreteMeasure(1e3 * mu.points, mu.weights) for mu in random_marginals(47, 3, 4, 2)
+        ]
+        rep = run_verification(mus, 1.5, translation_test=False)
+        flow = build_particle_flow(solve_mmot(mus, 1.5))
+        residuals = [continuity_residual(flow, i) for i in range(flow.n_marginals)]
+        assert max(residuals) > 0.0
+        assert rep.checks["continuity"].residual == max(residuals)
 
     def test_impossible_tolerance_fails_the_value_chain(self):
         rep = run_verification(random_marginals(46, 2, 3, 2), 2.0, value_tol=0.0)
