@@ -215,7 +215,6 @@ class TestResiduals:
         assert continuity_residual(flow, 0, degree=0) < 1e-15
 
 
-
 class TestContinuityKernel:
     """The one-table kernel against the per-monomial loop it replaced."""
 

@@ -139,7 +139,7 @@ class TestRunVerification:
 
     def test_continuity_check_is_the_worst_family(self):
         # at scale 1e3 the residual is roundoff on monomials near 1e12, so
-        # the families' residuals differ and are far from zero
+        # it is nonzero and the maximum over families is a real choice
         mus = [
             DiscreteMeasure(1e3 * mu.points, mu.weights) for mu in random_marginals(47, 3, 4, 2)
         ]
