@@ -1,12 +1,11 @@
 """
-Dual potentials, c-transforms, and entropic approximation
-=========================================================
+Dual potentials and c-transforms
+================================
 
 Every transport value in this package ships with a certificate: dual
 potentials whose pairing with the marginals reproduces the value and
 whose direct sum never exceeds the cost. This script inspects those
-certificates, the c-transform machinery behind them, and how the
-entropic solver's value squeezes down onto the exact one.
+certificates and the c-transform machinery behind them.
 """
 
 import numpy as np
@@ -18,7 +17,6 @@ from baryflow import (
     random_marginals,
     solve_mmot,
     solve_pairwise,
-    solve_pairwise_entropic,
 )
 
 p = 2.0
@@ -60,21 +58,3 @@ print("multi-marginal value:", mres.value)
 print("dual certificate: violation", f"{cert.max_violation:.3e},",
       "gap", f"{cert.duality_gap:.3e},",
       "support slack", f"{cert.support_slack:.3e}")
-print()
-
-# Entropic regularization: fast, smooth, and always an overestimate of
-# the exact value. The value decreases monotonically as the
-# regularization shrinks. Sinkhorn's contraction rate degrades as eps
-# shrinks, so the sweep runs at a marginal tolerance of 1e-6: plenty to
-# read off the eps-scaling, cheap enough to stay instant.
-exact = solve_pairwise(mu, nu, p).value
-print(f"exact value: {exact:.12f}")
-for eps in (0.5, 0.1, 0.01, 0.001):
-    ent = solve_pairwise_entropic(mu, nu, p, eps, tol=1e-6)
-    print(f"  eps = {eps:<6}: value {ent.value:.12f}  (excess {ent.value - exact:.3e})")
-
-# The entropic potentials are c-transform pairs, hence feasible for the
-# unregularized dual as well.
-ent = solve_pairwise_entropic(mu, nu, p, 0.01)
-slack = cost - ent.source_potentials[:, None] - ent.target_potentials[None, :]
-print("entropic potentials stay dual-feasible:", slack.min() >= -1e-12)

@@ -6,8 +6,12 @@ The optimal plan is not just a number: it induces straight-line particle
 trajectories that interpolate the barycenter to each marginal at
 constant speed. This script watches the atoms move, checks the geodesic
 property along the way, and (if matplotlib is importable) saves a
-picture of the trajectories.
+picture of the trajectories. Files go to a fresh temporary directory,
+whose path is printed.
 """
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -61,9 +65,10 @@ print("all factors equal:", np.allclose(blocks, blocks[0]))
 print()
 
 # Frames go to CSV for external tooling.
+out = Path(tempfile.mkdtemp(prefix="baryflow_demo_"))
 times = [k / 4 for k in range(5)]
-export_flow_frames(flow, times, "flow_frames.csv")
-print("wrote flow_frames.csv with", len(times), "frames")
+export_flow_frames(flow, times, out / "flow_frames.csv")
+print("wrote", out / "flow_frames.csv", "with", len(times), "frames")
 
 # Optional picture: trajectories of every family.
 try:
@@ -88,5 +93,5 @@ else:
                s=120, label="barycenter", zorder=5)
     ax.legend()
     ax.set_title("particle trajectories: barycenter to each marginal")
-    fig.savefig("particle_flows.png", dpi=150, bbox_inches="tight")
-    print("wrote particle_flows.png")
+    fig.savefig(out / "particle_flows.png", dpi=150, bbox_inches="tight")
+    print("wrote", out / "particle_flows.png")

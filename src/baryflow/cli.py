@@ -21,8 +21,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .exceptions import BaryflowError
 from .flows import (
     build_coupling_flow,
@@ -33,7 +31,7 @@ from .flows import (
     flow_action,
 )
 from .measures import load_measure, measure_to_dict, save_measure
-from .transport import MAX_GRID, extract_barycenter, solve_mmot, solve_pairwise_entropic
+from .transport import MAX_GRID, extract_barycenter, solve_mmot
 from .verify import random_marginals, run_verification
 
 __all__ = ["main"]
@@ -68,11 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--tol", type=float, default=1e-10,
         help="stationarity tolerance of the inner barycenter solver",
-    )
-    solve.add_argument(
-        "--entropic-eps", type=float, default=None, metavar="EPS",
-        help="also report the entropic value at this regularization "
-        "(two-marginal instances only; never used by the exact solve)",
     )
     solve.add_argument("--out", type=Path, default=None, help="also write barycenter.json and result.json here")
 
@@ -140,12 +133,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             "masses": result.plan.masses.tolist(),
         },
     }
-    if args.entropic_eps is not None:
-        if len(measures) != 2:
-            raise BaryflowError("--entropic-eps needs exactly two marginals")
-        entropic = solve_pairwise_entropic(measures[0], measures[1], args.p, args.entropic_eps)
-        payload["entropic_value"] = entropic.value
-        payload["entropic_eps"] = args.entropic_eps
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
         save_measure(barycenter, args.out / "barycenter.json")

@@ -34,9 +34,9 @@ from .exceptions import (
     TimeOutOfRangeError,
     WrongExponentError,
 )
-from .infconv import batch_barycenters, check_exponent, power_cost_gradient
+from .infconv import _balance_residual, batch_barycenters, check_exponent
 from .measures import DiscreteMeasure, _freeze, canonicalize
-from .transport import MmotResult
+from .transport import MmotResult, _tuple_points
 
 __all__ = [
     "ParticleFlow",
@@ -148,14 +148,9 @@ class CouplingFlow:
 
 def build_particle_flow(result: MmotResult) -> ParticleFlow:
     """Particle flow of an optimal plan: one tuple of particles per entry."""
-    targets = np.stack(
-        [result.marginals[k].points[result.plan.indices[:, k]]
-         for k in range(result.plan.n_marginals)],
-        axis=1,
-    )
     return ParticleFlow(
         starts=result.tuple_barycenters,
-        targets=targets,
+        targets=_tuple_points(result.marginals, result.plan.indices),
         masses=result.plan.masses,
         p=result.p,
     )
@@ -251,10 +246,7 @@ def velocity_balance_residual(flow: ParticleFlow) -> float:
     to zero; the norm of the sum is scaled by
     ``1 + sum_i |v_i|^(p-1)`` before taking the maximum.
     """
-    grads = power_cost_gradient(flow.velocities, flow.p)
-    speeds = np.linalg.norm(flow.velocities, axis=2)
-    scale = 1.0 + (speeds ** (flow.p - 1.0)).sum(axis=1)
-    return float((np.linalg.norm(grads.sum(axis=1), axis=1) / scale).max(initial=0.0))
+    return _balance_residual(flow.velocities, flow.p)
 
 
 def momentum_balance_residual(flow: ParticleFlow) -> float:

@@ -7,10 +7,10 @@ power costs) and a unique minimizer, characterized by the stationarity
 condition ``sum_i grad |.|^p (x_i - z) = 0``.
 
 For ``p = 2`` the minimizer is the arithmetic mean.  Otherwise a damped
-Newton iteration on ``z`` is used, with a reweighted-average fallback
-step when the Hessian is nearly singular.  Everything is vectorized over
-batches of tuples because the transport layer needs barycenters for every
-point of a product grid.
+Newton iteration on ``z`` is used, and the tuples it leaves unconverged
+get one batched pinned-point finish for minimizers that sit on a data
+point.  Everything is vectorized over batches of tuples because the
+transport layer needs barycenters for every point of a product grid.
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ _PROXIMITY = 1e-11
 # Armijo sufficient-decrease constant and halving budget.
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
+# Balance-step budget of the pinned-point finish.
+_POLISH_STEPS = 60
 
 
 def check_exponent(p: float) -> float:
@@ -80,6 +82,18 @@ def power_cost_gradient(x: object, p: float) -> np.ndarray | float:
     r = np.linalg.norm(arr, axis=-1, keepdims=True)
     safe = np.where(r > 0.0, r, 1.0)
     return np.where(r > 0.0, p * safe ** (p - 2) * arr, 0.0)
+
+
+def _balance_residual(diff: np.ndarray, p: float) -> float:
+    """Worst normalized stationarity defect over tuples of displacements.
+
+    ``diff`` holds ``x_i - z`` with shape (k, N, d).  Per tuple the norm
+    of ``sum_i p |x_i - z|^(p-2) (x_i - z)`` is scaled by
+    ``1 + sum_i |x_i - z|^(p-1)``; the maximum is 0 for no tuples.
+    """
+    grads = power_cost_gradient(diff, p)
+    scale = 1.0 + (np.linalg.norm(diff, axis=2) ** (p - 1.0)).sum(axis=1)
+    return float((np.linalg.norm(grads.sum(axis=1), axis=1) / scale).max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -154,7 +168,6 @@ def batch_barycenters(
     p: float,
     *,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Barycenters for a batch of point tuples.
 
@@ -166,13 +179,17 @@ def batch_barycenters(
         Cost exponent, strictly greater than one.
     tol : float
         Stationarity tolerance, relative to ``1 + sum_i r_i^(p-1)``.
-    max_iter : int
-        Newton iteration budget per tuple.
 
     Returns
     -------
     (barycenters, values, grad_norms)
         Arrays of shape ``(m, d)``, ``(m,)``, ``(m,)``.
+
+    Raises
+    ------
+    ConvergenceError
+        If some tuple misses ``tol`` after ``DEFAULT_MAX_ITER`` Newton
+        iterations and the pinned-point finish.
     """
     p = check_exponent(p)
     pts = np.asarray(points, dtype=float)
@@ -188,7 +205,6 @@ def batch_barycenters(
     z = pts.mean(axis=1).copy()
     values = np.zeros(m)
     grad_norms = np.zeros(m)
-    active = np.ones(m, dtype=bool)
     eye = np.eye(pts.shape[2])
 
     # One gradient state is evaluated per iteration: the state at the
@@ -196,30 +212,28 @@ def batch_barycenters(
     # and only rows moved by the line search are evaluated afresh.  Every
     # row is computed independently, so this gives the same bits as
     # evaluating each iterate from scratch.
-    idx = np.flatnonzero(active)
-    x = pts[idx]
-    state = _gradient_state(x, z[idx], p)
-    for _ in range(max_iter):
-        if idx.size == 0:
-            break
-        zz = z[idx]
+    idx = np.arange(m)
+    x = pts
+    state = _gradient_state(x, z, p)
+    for _ in range(DEFAULT_MAX_ITER):
         resid, resid_norm, scale, r, diff = state
-
         finished = resid_norm <= tol * scale
         if finished.any():
             rows = idx[finished]
             values[rows] = _sum_axis1(r[finished] ** p)
             grad_norms[rows] = resid_norm[finished]
-            active[rows] = False
             keep = ~finished
-            if not keep.any():
-                break
-            idx, x, zz = idx[keep], x[keep], zz[keep]
-            resid, resid_norm, scale, r, diff = resid[keep], resid_norm[keep], scale[keep], r[keep], diff[keep]
+            idx, x = idx[keep], x[keep]
+            state = tuple(part[keep] for part in state)
+            resid, resid_norm, scale, r, diff = state
+        if idx.size == 0:
+            break
+        zz = z[idx]
 
         # Newton step on the remaining rows.  The Hessian of the
         # objective is p sum_i r^(p-2) (I + (p-2) u u^T) with u the unit
-        # displacement; radii are floored for p < 2 to keep it bounded.
+        # displacement, positive definite for every p > 1; radii are
+        # floored for p < 2 to keep it bounded.
         r_h = np.maximum(r, _PROXIMITY) if p < 2.0 else r
         safe = np.where(r_h > 0.0, r_h, 1.0)
         iso = np.where(r_h > 0.0, p * safe ** (p - 2.0), 0.0)
@@ -232,17 +246,6 @@ def batch_barycenters(
         hess += (1e-12 * (1.0 + trace))[:, None, None] * eye
         step = np.linalg.solve(hess, resid[:, :, None])[:, :, 0]
         descent = _sum_axis1(resid * step)
-
-        # Rows where the Newton direction is unusable fall back to a
-        # reweighted average (fixed-point step of the stationarity map).
-        bad = ~np.isfinite(step).all(axis=1) | (descent <= 0.0)
-        if bad.any():
-            w = np.where(r[bad] > 0.0, p * np.where(r[bad] > 0.0, r[bad], 1.0) ** (p - 2.0), 0.0)
-            wsum = w.sum(axis=1, keepdims=True)
-            wsum = np.where(wsum > 0.0, wsum, 1.0)
-            z_avg = (w[:, :, None] * x[bad]).sum(axis=1) / wsum
-            step[bad] = z_avg - zz[bad]
-            descent[bad] = np.maximum((resid[bad] * step[bad]).sum(axis=1), 0.0)
 
         # Full Newton steps are accepted outright when they shrink the
         # gradient norm: near the optimum the objective decrease falls
@@ -279,74 +282,75 @@ def batch_barycenters(
                     part[rows] = fresh
         z[idx] = z_try
 
-    # Minimizers that sit almost exactly on a data point defeat Newton
-    # for p < 2: the curvature diverges there and the iterates crawl.
-    # Balance the singular term against the smooth rest analytically and
-    # keep the refined point only where it actually lowers the residual.
-    for row in np.flatnonzero(active):
-        z_ref = _pinned_polish(pts[row], z[row], p, tol)
-        rn_old = _gradient_state(pts[row][None], z[row][None], p)[1]
-        rn_new = _gradient_state(pts[row][None], z_ref[None], p)[1]
-        if rn_new[0] < rn_old[0]:
-            z[row] = z_ref
-
-    idx = np.flatnonzero(active)
     if idx.size:
-        _, resid_norm, scale, r, _ = _gradient_state(pts[idx], z[idx], p)
-        obj = _sum_axis1(r**p)
+        # The rows left are tried once more by the pinned-point finish,
+        # which hands back each row's better point and its state there.
+        z[idx], resid_norm, scale, r = _pinned_polish(x, z[idx], state, p, tol)
         late = resid_norm <= tol * scale
-        rows = idx[late]
-        values[rows] = obj[late]
-        grad_norms[rows] = resid_norm[late]
-        active[rows] = False
-        if active.any():
-            worst = float(resid_norm[~late].max())
+        if not late.all():
             raise ConvergenceError(
-                f"{int(active.sum())} of {m} barycenters unconverged after "
-                f"{max_iter} iterations (worst residual {worst:.3e})"
+                f"{int((~late).sum())} of {m} barycenters unconverged after "
+                f"{DEFAULT_MAX_ITER} iterations (worst residual {resid_norm[~late].max():.3e})"
             )
+        values[idx] = _sum_axis1(r**p)
+        grad_norms[idx] = resid_norm
     return z, values, grad_norms
 
 
-def _pinned_polish(points: np.ndarray, z0: np.ndarray, p: float, tol: float, max_iter: int = 60) -> np.ndarray:
-    """Refine a minimizer pinned near one data point.
+def _pinned_polish(
+    points: np.ndarray, z0: np.ndarray, state: tuple, p: float, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Refine minimizers pinned near one data point, batched over rows.
 
-    Splitting the cost into the singular term ``|x_i - z|^p`` of the
-    nearest atom and the smooth rest, stationarity places the minimizer
-    at distance ``(|g| / p)^(1/(p-1))`` from the atom, opposite the rest
-    gradient ``g``.  Iterating this balance contracts much faster than
-    Newton in the pinned regime; the caller keeps the result only if it
-    improves the residual, so the step is safe everywhere else.
+    Minimizers that sit almost exactly on a data point defeat Newton for
+    p < 2: the curvature diverges there and the iterates crawl.
+    Splitting each row's cost into the singular term ``|x_i - z|^p`` of
+    its nearest atom (fixed at ``z0``) and the smooth rest, stationarity
+    places the minimizer at distance ``(|g| / p)^(1/(p-1))`` from the
+    atom, opposite the rest gradient ``g``.  Iterating this balance
+    contracts much faster than Newton in the pinned regime.  It runs for
+    at most ``_POLISH_STEPS`` steps, and a row stops as soon as it meets
+    ``tol``.  A row keeps the polished point only if it lowers the
+    residual of its ``state`` at ``z0``, so the step is safe everywhere
+    else.  Returns the kept points and the residual norm, scale and
+    radii there.
     """
-    radii = np.linalg.norm(points - z0, axis=1)
-    i = int(radii.argmin())
-    anchor = points[i]
-    rest = np.delete(points, i, axis=0)
-    zz = z0
-    for _ in range(max_iter):
-        g = -power_cost_gradient(rest - zz, p).sum(axis=0)
-        gn = float(np.linalg.norm(g))
-        if gn == 0.0:
-            zz = anchor.copy()
-        else:
-            zz = anchor - (gn / p) ** (1.0 / (p - 1.0)) * (g / gn)
-        _, rn, scale, _, _ = _gradient_state(points[None], zz[None], p)
-        if rn[0] <= tol * scale[0]:
+    _, start_norm, start_scale, start_r, _ = state
+    rows = np.arange(len(points))
+    nearest = start_r.argmin(axis=1)
+    anchors = points[rows, nearest]
+    others = np.ones(start_r.shape, dtype=bool)
+    others[rows, nearest] = False
+    z, norm, scale, r = z0.copy(), start_norm.copy(), start_scale.copy(), start_r.copy()
+    todo = rows
+    for _ in range(_POLISH_STEPS):
+        if todo.size == 0:
             break
-    return zz
+        diff = points[todo] - z[todo][:, None, :]
+        radii = _norm(diff)
+        safe = np.where(radii > 0.0, radii, 1.0)
+        coeff = np.where(others[todo] & (radii > 0.0), p * safe ** (p - 2.0), 0.0)
+        g = -_sum_axis1(coeff[:, :, None] * diff)
+        # a zero rest gradient leaves the point on its atom
+        gn = _norm(g)
+        gn = np.where(gn > 0.0, gn, 1.0)
+        z[todo] = anchors[todo] - ((gn / p) ** (1.0 / (p - 1.0)))[:, None] * (g / gn[:, None])
+        _, norm[todo], scale[todo], r[todo], _ = _gradient_state(points[todo], z[todo], p)
+        todo = todo[norm[todo] > tol * scale[todo]]
+    better = norm < start_norm
+    return (
+        np.where(better[:, None], z, z0),
+        np.where(better, norm, start_norm),
+        np.where(better, scale, start_scale),
+        np.where(better[:, None], r, start_r),
+    )
 
 
-def barycenter_point(
-    xs: object,
-    p: float,
-    *,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> BarycenterResult:
+def barycenter_point(xs: object, p: float) -> BarycenterResult:
     """Barycenter of a single tuple ``xs`` of shape ``(N, d)`` or ``(N,)``.
 
     Minimizes ``z -> sum_i |x_i - z|^p``.  The returned residual norm
-    satisfies ``grad_norm <= tol * (1 + sum_i |x_i - z|^(p-1))``.
+    satisfies ``grad_norm <= DEFAULT_TOL * (1 + sum_i |x_i - z|^(p-1))``.
 
     Raises
     ------
@@ -358,10 +362,10 @@ def barycenter_point(
         arr = arr.reshape(-1, 1)
     if arr.ndim != 2 or arr.shape[0] < 1:
         raise DimensionMismatchError(f"expected an (N, d) tuple of points, got shape {np.shape(xs)}")
-    z, value, grad = batch_barycenters(arr[None], p, tol=tol, max_iter=max_iter)
+    z, value, grad = batch_barycenters(arr[None], p)
     return BarycenterResult(barycenter=z[0], value=float(value[0]), grad_norm=float(grad[0]))
 
 
-def infconv_cost(xs: object, p: float, *, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> float:
+def infconv_cost(xs: object, p: float) -> float:
     """Infimal-convolution cost ``inf_z sum_i |x_i - z|^p`` of one tuple."""
-    return barycenter_point(xs, p, tol=tol, max_iter=max_iter).value
+    return barycenter_point(xs, p).value

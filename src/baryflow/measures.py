@@ -204,7 +204,7 @@ class MultiPlan:
 # validation
 # ---------------------------------------------------------------------------
 
-def validate_measure(m: DiscreteMeasure, *, weight_sum_tol: float = WEIGHT_SUM_TOL) -> DiscreteMeasure:
+def validate_measure(m: DiscreteMeasure) -> DiscreteMeasure:
     """Check the probability-measure invariants, returning ``m`` unchanged.
 
     Raises
@@ -214,7 +214,7 @@ def validate_measure(m: DiscreteMeasure, *, weight_sum_tol: float = WEIGHT_SUM_T
     NegativeWeightError
         If any weight is negative beyond roundoff.
     WeightSumError
-        If the weights do not sum to one within ``weight_sum_tol``.
+        If the weights do not sum to one within ``WEIGHT_SUM_TOL``.
     """
     if not np.isfinite(m.points).all():
         raise NonFiniteCoordinateError("measure has a non-finite coordinate")
@@ -223,22 +223,16 @@ def validate_measure(m: DiscreteMeasure, *, weight_sum_tol: float = WEIGHT_SUM_T
     if len(m) and m.weights.min() < -_NEG_TOL:
         raise NegativeWeightError(f"negative weight {m.weights.min()!r}")
     total = float(m.weights.sum()) if len(m) else 0.0
-    if abs(total - 1.0) > weight_sum_tol:
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise WeightSumError(f"weights sum to {total!r}, expected 1")
     return m
 
 
-def validate_coupling(
-    plan: Coupling,
-    mu: DiscreteMeasure,
-    nu: DiscreteMeasure,
-    *,
-    marginal_tol: float = MARGINAL_TOL,
-) -> Coupling:
+def validate_coupling(plan: Coupling, mu: DiscreteMeasure, nu: DiscreteMeasure) -> Coupling:
     """Check that ``plan`` couples ``mu`` to ``nu``.
 
     Every entry must carry nonnegative mass on valid indices, and both
-    marginal sums must match the measures within ``marginal_tol`` per atom.
+    marginal sums must match the measures within ``MARGINAL_TOL`` per atom.
     """
     if plan.n_source != len(mu) or plan.n_target != len(nu):
         raise DimensionMismatchError("coupling shape does not match the measures")
@@ -254,19 +248,14 @@ def validate_coupling(
     col_sum = np.bincount(plan.cols, weights=plan.masses, minlength=plan.n_target)
     row_err = float(np.abs(row_sum - mu.weights).max())
     col_err = float(np.abs(col_sum - nu.weights).max())
-    if max(row_err, col_err) > marginal_tol:
+    if max(row_err, col_err) > MARGINAL_TOL:
         raise MarginalMismatchError(
             f"marginal mismatch: source {row_err:.3e}, target {col_err:.3e}"
         )
     return plan
 
 
-def validate_multiplan(
-    plan: MultiPlan,
-    marginals: Sequence[DiscreteMeasure],
-    *,
-    marginal_tol: float = MARGINAL_TOL,
-) -> MultiPlan:
+def validate_multiplan(plan: MultiPlan, marginals: Sequence[DiscreteMeasure]) -> MultiPlan:
     """Check that ``plan`` has the given measures as its marginals."""
     if plan.n_marginals != len(marginals):
         raise DimensionMismatchError(
@@ -285,7 +274,7 @@ def validate_multiplan(
             raise IndexOutOfRangeError(f"plan entry indexes a missing atom of marginal {k}")
         sums = np.bincount(idx, weights=plan.masses, minlength=len(mu))
         err = float(np.abs(sums - mu.weights).max())
-        if err > marginal_tol:
+        if err > MARGINAL_TOL:
             raise MarginalMismatchError(f"marginal {k} mismatch {err:.3e}")
     return plan
 
@@ -294,8 +283,8 @@ def validate_multiplan(
 # canonical form and projections
 # ---------------------------------------------------------------------------
 
-def canonicalize(m: DiscreteMeasure, *, merge_tol: float = MERGE_TOL) -> DiscreteMeasure:
-    """Merge atoms within ``merge_tol`` of each other and sort the support.
+def canonicalize(m: DiscreteMeasure) -> DiscreteMeasure:
+    """Merge atoms within ``MERGE_TOL`` of each other and sort the support.
 
     Merging is transitive (union-find over the proximity graph); each
     group keeps the coordinates of its first atom in input order and the
@@ -315,7 +304,7 @@ def canonicalize(m: DiscreteMeasure, *, merge_tol: float = MERGE_TOL) -> Discret
         return i
 
     diff = pts[:, None, :] - pts[None, :, :]
-    close = (diff * diff).sum(axis=2) <= merge_tol * merge_tol
+    close = (diff * diff).sum(axis=2) <= MERGE_TOL * MERGE_TOL
     for i, j in zip(*np.nonzero(np.triu(close, k=1))):
         ri, rj = find(int(i)), find(int(j))
         if ri != rj:
@@ -329,40 +318,33 @@ def canonicalize(m: DiscreteMeasure, *, merge_tol: float = MERGE_TOL) -> Discret
     return DiscreteMeasure(merged_p[order], merged_w[order])
 
 
-def marginal(
-    plan: MultiPlan,
-    k: int,
-    supports: Sequence[DiscreteMeasure] | Sequence[np.ndarray],
-) -> DiscreteMeasure:
+def marginal(plan: MultiPlan, k: int, supports: Sequence[DiscreteMeasure]) -> DiscreteMeasure:
     """Project an N-marginal plan onto its ``k``-th marginal.
 
-    ``supports`` gives the atom locations of every marginal, either as
-    measures or as bare point arrays; only the ``k``-th entry is read.
+    ``supports`` holds the measures whose atoms the plan indexes; only
+    the points of the ``k``-th one are read.
     """
     if not 0 <= k < plan.n_marginals:
         raise IndexOutOfRangeError(f"marginal index {k} outside 0..{plan.n_marginals - 1}")
-    support = supports[k]
-    pts = support.points if isinstance(support, DiscreteMeasure) else _as_points(support)
+    pts = supports[k].points
     if len(pts) != plan.support_sizes[k]:
         raise DimensionMismatchError(f"support {k} has {len(pts)} atoms, plan expects {plan.support_sizes[k]}")
     weights = np.bincount(plan.indices[:, k], weights=plan.masses, minlength=len(pts))
     return DiscreteMeasure(pts, weights)
 
 
-def measures_close(
-    a: DiscreteMeasure,
-    b: DiscreteMeasure,
-    *,
-    point_tol: float = MERGE_TOL,
-    weight_tol: float = MARGINAL_TOL,
-) -> bool:
-    """Whether two measures agree atom-by-atom after canonicalization."""
+def measures_close(a: DiscreteMeasure, b: DiscreteMeasure) -> bool:
+    """Whether two measures agree atom-by-atom after canonicalization.
+
+    Coordinates must match within ``MERGE_TOL`` and weights within
+    ``MARGINAL_TOL``.
+    """
     ca, cb = canonicalize(a), canonicalize(b)
     if len(ca) != len(cb) or ca.dim != cb.dim:
         return False
     return bool(
-        np.abs(ca.points - cb.points).max(initial=0.0) <= point_tol
-        and np.abs(ca.weights - cb.weights).max(initial=0.0) <= weight_tol
+        np.abs(ca.points - cb.points).max(initial=0.0) <= MERGE_TOL
+        and np.abs(ca.weights - cb.weights).max(initial=0.0) <= MARGINAL_TOL
     )
 
 

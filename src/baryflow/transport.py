@@ -18,9 +18,6 @@ Both are transportation LPs over a product grid of atom indices (the
 pairwise one is the case N = 2) and share one transport simplex, which
 never forms a constraint matrix and keeps the inverse of its small basis
 with plain numpy (a revised simplex with a product-form inverse).
-
-An entropic pairwise solver is included for cross-checking; being a
-smoothed approximation it is never used inside exact-equality checks.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ from .exceptions import (
     NonFiniteCoordinateError,
     ProductGridError,
 )
-from .infconv import batch_barycenters, check_exponent, power_cost_gradient
+from .infconv import DEFAULT_TOL, _balance_residual, batch_barycenters, check_exponent
 from .measures import (
     Coupling,
     DiscreteMeasure,
@@ -55,7 +52,6 @@ __all__ = [
     "DualCertificate",
     "pairwise_cost_matrix",
     "solve_pairwise",
-    "solve_pairwise_entropic",
     "solve_mmot",
     "stationarity_residual",
     "extract_barycenter",
@@ -394,6 +390,11 @@ def c_transform(
 # multi-marginal problem
 # ---------------------------------------------------------------------------
 
+def _tuple_points(marginals: tuple[DiscreteMeasure, ...], indices: np.ndarray) -> np.ndarray:
+    """Points of index tuples, shape (k, N, d): ``marginals[i].points[indices[:, i]]``."""
+    return np.stack([mu.points[indices[:, i]] for i, mu in enumerate(marginals)], axis=1)
+
+
 def _tuple_grid(
     marginals: tuple[DiscreteMeasure, ...],
     p: float,
@@ -409,12 +410,8 @@ def _tuple_grid(
             "raise max_grid explicitly if this size is intended"
         )
     indices = np.indices(sizes).reshape(len(sizes), total).T
-    tuple_points = np.stack(
-        [marginals[k].points[indices[:, k]] for k in range(len(marginals))],
-        axis=1,
-    )
     try:
-        barycenters, costs, _ = batch_barycenters(tuple_points, p, tol=newton_tol)
+        barycenters, costs, _ = batch_barycenters(_tuple_points(marginals, indices), p, tol=newton_tol)
     except ConvergenceError as exc:
         raise ConvergenceError(f"tuple grid {'x'.join(map(str, sizes))}: {exc}") from exc
     return indices, costs, barycenters
@@ -425,7 +422,7 @@ def solve_mmot(
     p: float,
     *,
     max_grid: int = MAX_GRID,
-    newton_tol: float = 1e-10,
+    newton_tol: float = DEFAULT_TOL,
 ) -> MmotResult:
     """Solve the barycentric multi-marginal transport problem exactly.
 
@@ -438,6 +435,11 @@ def solve_mmot(
     ------
     ProductGridError
         If the product of support sizes exceeds ``max_grid``.
+    ConvergenceError
+        If the barycenter of some grid tuple misses ``newton_tol``.
+    CycleLimitError
+        If the transport simplex runs out of pivots or its basis
+        degenerates numerically.
     """
     mus = tuple(marginals)
     if len(mus) < 2:
@@ -478,18 +480,8 @@ def stationarity_residual(result: MmotResult) -> float:
     by ``1 + sum_i |x_i - z|^(p-1)`` before taking the maximum over plan
     entries.
     """
-    if len(result.plan) == 0:
-        return 0.0
-    tuples = np.stack(
-        [result.marginals[k].points[result.plan.indices[:, k]]
-         for k in range(result.plan.n_marginals)],
-        axis=1,
-    )
-    diff = tuples - result.tuple_barycenters[:, None, :]
-    grads = power_cost_gradient(diff, result.p)
-    radii = np.linalg.norm(diff, axis=2)
-    scale = 1.0 + (radii ** (result.p - 1.0)).sum(axis=1)
-    return float((np.linalg.norm(grads.sum(axis=1), axis=1) / scale).max())
+    tuples = _tuple_points(result.marginals, result.plan.indices)
+    return _balance_residual(tuples - result.tuple_barycenters[:, None, :], result.p)
 
 
 def extract_barycenter(result: MmotResult) -> DiscreteMeasure:
@@ -503,12 +495,7 @@ def extract_barycenter(result: MmotResult) -> DiscreteMeasure:
     return canonicalize(DiscreteMeasure(result.tuple_barycenters, result.plan.masses))
 
 
-def dual_feasibility_check(
-    result: MmotResult,
-    *,
-    max_grid: int = MAX_GRID,
-    newton_tol: float = 1e-10,
-) -> DualCertificate:
+def dual_feasibility_check(result: MmotResult, *, max_grid: int = MAX_GRID) -> DualCertificate:
     """Certify the potentials of a solved multi-marginal problem.
 
     Recomputes every tuple cost of the product grid (independently of the
@@ -516,7 +503,7 @@ def dual_feasibility_check(
     complementary slackness on the plan support.
     """
     mus = result.marginals
-    indices, costs, _ = _tuple_grid(mus, result.p, max_grid, newton_tol)
+    indices, costs, _ = _tuple_grid(mus, result.p, max_grid, DEFAULT_TOL)
     summed = np.zeros(len(indices))
     for k, pot in enumerate(result.potentials):
         summed += pot[indices[:, k]]
@@ -535,93 +522,3 @@ def dual_feasibility_check(
         duality_gap=float(duality_gap),
         support_slack=support_slack,
     )
-
-
-# ---------------------------------------------------------------------------
-# entropic solver
-# ---------------------------------------------------------------------------
-
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    """``log(sum(exp(a), axis))``, shifted by the maximum along ``axis``."""
-    top = a.max(axis=axis, keepdims=True)
-    # A slice that is all -inf (or holds +inf) is left unshifted.
-    top[~np.isfinite(top)] = 0.0
-    with np.errstate(divide="ignore"):
-        return np.log(np.exp(a - top).sum(axis=axis)) + np.squeeze(top, axis=axis)
-
-
-def solve_pairwise_entropic(
-    mu: DiscreteMeasure,
-    nu: DiscreteMeasure,
-    p: float,
-    epsilon: float,
-    *,
-    tol: float = 1e-9,
-    max_iter: int = 200_000,
-) -> PairwiseResult:
-    """Entropy-regularized transport via log-domain Sinkhorn iterations.
-
-    Minimizes ``<plan, cost> + epsilon * KL(plan | mu x nu)``; the
-    reported ``value`` is the transport part ``<plan, cost>`` only, which
-    decreases to the exact value as ``epsilon`` shrinks.  Iterations are
-    annealed from a large regularization down to ``epsilon`` so that
-    small targets converge in a reasonable number of sweeps.  The
-    returned target potential is the c-transform of the source one, so
-    the pair is feasible for the unregularized dual.
-
-    Raises
-    ------
-    ConvergenceError
-        If the marginal error cannot be brought below ``tol`` within
-        ``max_iter`` total iterations.
-    """
-    validate_measure(mu)
-    validate_measure(nu)
-    p = check_exponent(p)
-    epsilon = float(epsilon)
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-
-    cost = pairwise_cost_matrix(mu.points, nu.points, p)
-    with np.errstate(divide="ignore"):
-        log_a = np.log(mu.weights)
-        log_b = np.log(nu.weights)
-
-    f = np.zeros(len(mu))
-    g = np.zeros(len(nu))
-    spent = 0
-
-    stages = [epsilon]
-    while stages[-1] < 1.0:
-        stages.append(min(stages[-1] * 10.0, 1.0))
-    for eps in reversed(stages):
-        stage_tol = tol if eps == epsilon else max(tol, 1e-6)
-        while True:
-            if spent >= max_iter:
-                raise ConvergenceError(
-                    f"sinkhorn did not reach marginal error {tol:.1e} in {max_iter} iterations"
-                )
-            spent += 1
-            f = -eps * _logsumexp((g[None, :] - cost) / eps + log_b[None, :], axis=1)
-            g = -eps * _logsumexp((f[:, None] - cost) / eps + log_a[:, None], axis=0)
-            log_plan = (f[:, None] + g[None, :] - cost) / eps + log_a[:, None] + log_b[None, :]
-            plan = np.exp(log_plan)
-            err = max(
-                float(np.abs(plan.sum(axis=1) - mu.weights).max()),
-                float(np.abs(plan.sum(axis=0) - nu.weights).max()),
-            )
-            if err <= stage_tol:
-                break
-
-    phi = c_transform(f, mu.points, nu.points, p)
-    rows, cols = np.nonzero(plan > 0.0)
-    coupling = Coupling(
-        n_source=len(mu),
-        n_target=len(nu),
-        rows=rows,
-        cols=cols,
-        masses=plan[rows, cols],
-        source_potentials=f,
-        target_potentials=phi,
-    )
-    return PairwiseResult(coupling=coupling, value=float((plan * cost).sum()), p=p)

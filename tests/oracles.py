@@ -204,3 +204,40 @@ def continuity_terms_loop(flow, i: int, degree: int) -> list[tuple[int, tuple[in
                 integral += w * float((m * (time_part + t**a * advect)).sum())
             terms.append((a, beta_tuple, end - start, integral))
     return terms
+
+
+def pinned_polish_loop(points: np.ndarray, z0: np.ndarray, p: float, tol: float, steps: int = 60) -> np.ndarray:
+    """Row-by-row pinned-point balance iteration, as a loop reference.
+
+    For each tuple ``points[k]`` (shape (N, d)) the atom nearest to
+    ``z0[k]`` is fixed; the point is moved to distance
+    ``(|g| / p)^(1/(p-1))`` from it, opposite the gradient ``g`` of the
+    other atoms' costs, until the stationarity residual of the tuple is
+    within ``tol * (1 + sum_i r_i^(p-1))`` or ``steps`` steps are taken.
+    The result replaces ``z0[k]`` only if its residual is lower.
+    """
+
+    def residual(pts: np.ndarray, z: np.ndarray) -> tuple[float, float]:
+        diff = pts - z
+        r = np.linalg.norm(diff, axis=1)
+        coeff = np.where(r > 0.0, p * np.where(r > 0.0, r, 1.0) ** (p - 2.0), 0.0)
+        return float(np.linalg.norm((coeff[:, None] * diff).sum(axis=0))), 1.0 + float((r ** (p - 1.0)).sum())
+
+    out = np.array(z0, dtype=float)
+    for k, pts in enumerate(points):
+        i = int(np.linalg.norm(pts - z0[k], axis=1).argmin())
+        rest = np.delete(pts, i, axis=0)
+        z = z0[k]
+        for _ in range(steps):
+            diff = rest - z
+            r = np.linalg.norm(diff, axis=1)
+            coeff = np.where(r > 0.0, p * np.where(r > 0.0, r, 1.0) ** (p - 2.0), 0.0)
+            g = -(coeff[:, None] * diff).sum(axis=0)
+            gn = float(np.linalg.norm(g))
+            z = pts[i].copy() if gn == 0.0 else pts[i] - (gn / p) ** (1.0 / (p - 1.0)) * (g / gn)
+            norm, scale = residual(pts, z)
+            if norm <= tol * scale:
+                break
+        if residual(pts, z)[0] < residual(pts, z0[k])[0]:
+            out[k] = z
+    return out

@@ -90,26 +90,6 @@ class TestSolve:
         saved = json.loads((out / "result.json").read_text())
         assert saved["value"] == payload["value"]
 
-    def test_entropic_report(self, instance, capsys):
-        code, stdout, _ = run_cli(
-            capsys, "solve", *instance, "--entropic-eps", "0.01"
-        )
-        assert code == 0
-        payload = json.loads(stdout)
-        assert payload["entropic_eps"] == 0.01
-        # the entropic value approximates the pairwise distance, not the
-        # multi-marginal value (which carries the 2^(1-p) factor)
-        assert payload["entropic_value"] == pytest.approx(4.0, abs=0.1)
-
-    def test_entropic_needs_two_marginals(self, instance, tmp_path, capsys):
-        third = tmp_path / "third.json"
-        save_measure(DiscreteMeasure([[5.0]], [1.0]), third)
-        code, _, stderr = run_cli(
-            capsys, "solve", *instance, str(third), "--entropic-eps", "0.01"
-        )
-        assert code == 1
-        assert "two marginals" in stderr
-
     def test_missing_file(self, capsys):
         code, _, stderr = run_cli(capsys, "solve", "no_such_file.json")
         assert code == 1

@@ -14,6 +14,9 @@ from baryflow import (
     power_cost,
     power_cost_gradient,
 )
+from baryflow import infconv
+
+from .oracles import pinned_polish_loop
 
 # Reference minima computed with a derivative-free method and an
 # independent 1-d grid search (step 1e-6, then golden-section polish).
@@ -208,3 +211,23 @@ class TestBatch:
         res = barycenter_point(pts, 1.5)
         assert np.abs(res.barycenter).max() < 1e-9
         assert res.value == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("p", [1.2, 1.5])
+    def test_pinned_finish_matches_loop_reference(self, p):
+        # the last atom sits near the barycenter of the other three, so the
+        # minimizer is pinned to it; start every row close to that atom
+        rng = np.random.default_rng(31)
+        pts = []
+        for _ in range(40):
+            rest = rng.uniform(-1.0, 1.0, size=(3, 2))
+            offset = 10.0 ** rng.uniform(-6.0, -1.0) * rng.normal(size=2)
+            pts.append(np.vstack([rest, barycenter_point(rest, p).barycenter + offset]))
+        pts = np.array(pts)
+        z0 = pts[:, -1] + 1e-3 * rng.normal(size=(len(pts), 2))
+        state = infconv._gradient_state(pts, z0, p)
+        z, norm, scale, _ = infconv._pinned_polish(pts, z0, state, p, infconv.DEFAULT_TOL)
+        ref = pinned_polish_loop(pts, z0, p, infconv.DEFAULT_TOL)
+        assert np.array_equal((z != z0).any(axis=1), (ref != z0).any(axis=1))
+        assert np.abs(z - ref).max() <= 1e-13 * (1.0 + np.abs(ref).max())
+        assert (z != z0).any(axis=1).sum() >= 30
+        assert (norm <= infconv.DEFAULT_TOL * scale).sum() >= 5

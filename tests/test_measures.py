@@ -179,11 +179,6 @@ class TestMultiPlan:
         assert np.array_equal(third.points, mus[2].points)
         assert np.allclose(third.weights, [0.25, 0.75])
 
-    def test_marginal_accepts_point_arrays(self):
-        plan, mus = self.make_plan()
-        third = marginal(plan, 2, [m.points for m in mus])
-        assert np.allclose(third.weights, [0.25, 0.75])
-
     def test_marginal_index_out_of_range(self):
         plan, mus = self.make_plan()
         with pytest.raises(IndexOutOfRangeError):

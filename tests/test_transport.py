@@ -24,7 +24,6 @@ from baryflow import (
     pairwise_cost_matrix,
     solve_mmot,
     solve_pairwise,
-    solve_pairwise_entropic,
     stationarity_residual,
     validate_multiplan,
     wb_value,
@@ -437,49 +436,3 @@ class TestDualCertificates:
         assert cert.max_violation < 1e-9
         assert cert.duality_gap < 1e-9 * (1.0 + abs(res.value))
         assert cert.support_slack < 1e-9
-
-
-class TestEntropic:
-    def setup_method(self):
-        rng = np.random.default_rng(23)
-        self.mu = random_measure(rng, 4, 2, uniform=False)
-        self.nu = random_measure(rng, 5, 2, uniform=False)
-
-    def test_value_brackets_the_exact_one(self):
-        exact = solve_pairwise(self.mu, self.nu, 2.0).value
-        for eps in (0.1, 0.01):
-            ent = solve_pairwise_entropic(self.mu, self.nu, 2.0, eps).value
-            assert exact - 1e-9 <= ent <= exact + eps * np.log(20)
-
-    def test_value_monotone_in_epsilon(self):
-        v1 = solve_pairwise_entropic(self.mu, self.nu, 2.0, 0.1).value
-        v2 = solve_pairwise_entropic(self.mu, self.nu, 2.0, 0.01).value
-        v3 = solve_pairwise_entropic(self.mu, self.nu, 2.0, 0.001).value
-        assert v1 >= v2 >= v3
-
-    def test_marginals_satisfied(self):
-        # the second source has a zero-weight atom, whose log-weight is -inf
-        weights = self.mu.weights.copy()
-        weights[1] += weights[0]
-        weights[0] = 0.0
-        for mu in (self.mu, DiscreteMeasure(self.mu.points, weights)):
-            res = solve_pairwise_entropic(mu, self.nu, 1.5, 0.05, tol=1e-10)
-            dense = res.coupling.as_dense()
-            assert np.abs(dense.sum(axis=1) - mu.weights).max() < 1e-9
-            assert np.abs(dense.sum(axis=0) - self.nu.weights).max() < 1e-9
-
-    def test_potentials_feasible_for_the_unregularized_dual(self):
-        res = solve_pairwise_entropic(self.mu, self.nu, 2.0, 0.01)
-        cost = pairwise_cost_matrix(self.mu.points, self.nu.points, 2.0)
-        slack = cost - res.source_potentials[:, None] - res.target_potentials[None, :]
-        assert slack.min() > -1e-12
-
-    def test_two_diracs_exact_for_any_epsilon(self):
-        mu = DiscreteMeasure([[0.0]], [1.0])
-        nu = DiscreteMeasure([[2.0]], [1.0])
-        res = solve_pairwise_entropic(mu, nu, 2.0, 0.5)
-        assert res.value == pytest.approx(4.0)
-
-    def test_bad_epsilon_rejected(self):
-        with pytest.raises(ValueError):
-            solve_pairwise_entropic(self.mu, self.nu, 2.0, 0.0)
