@@ -13,9 +13,7 @@ from baryflow import (
     DiscreteMeasure,
     barycenter_point,
     extract_barycenter,
-    infconv_cost,
     solve_mmot,
-    solve_pairwise,
     wb_value,
 )
 

@@ -9,8 +9,6 @@ separately and prints the spread, then runs the bundled verification
 driver that certifies the full identity chain.
 """
 
-import numpy as np
-
 from baryflow import (
     build_coupling_flow,
     build_particle_flow,

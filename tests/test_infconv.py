@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from baryflow import (
+    ConvergenceError,
+    NonFiniteCoordinateError,
     WrongExponentError,
     barycenter_point,
     batch_barycenters,
@@ -231,3 +235,83 @@ class TestBatch:
         assert np.abs(z - ref).max() <= 1e-13 * (1.0 + np.abs(ref).max())
         assert (z != z0).any(axis=1).sum() >= 30
         assert (norm <= infconv.DEFAULT_TOL * scale).sum() >= 5
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0])
+    def test_overflowing_distances_raise(self, p):
+        # |x| overflows in the norm, which once read as a zero residual
+        # against an infinite scale and passed the finish test
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteCoordinateError):
+            batch_barycenters(np.array([[[0.0, 0.0], [1e160, 0.0]]]), p)
+
+    def test_pinned_finish_keeps_no_overflowed_point(self):
+        # started from the tuple mean, away from any pinned minimizer, the
+        # balance steps run off towards infinity on most rows
+        rng = np.random.default_rng(0)
+        pts = rng.normal(size=(80, 5, 3))
+        z0 = pts.mean(axis=1)
+        state = infconv._gradient_state(pts, z0, 1.2)
+        with np.errstate(all="ignore"):
+            z, norm, scale, r = infconv._pinned_polish(pts, z0, state, 1.2, infconv.DEFAULT_TOL)
+        assert np.isfinite(z).all() and np.isfinite(scale).all() and np.isfinite(r).all()
+        assert (z == z0).all(axis=1).sum() >= 70
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_small_exponent_grid_skips_the_newton_tail(self, monkeypatch, seed):
+        # the rows pinned to a data point are finished early by the
+        # pinned-point balance instead of crawling through every Newton
+        # iteration (about 330-380 gradient evaluations on these grids)
+        rng = np.random.default_rng(seed)
+        marginals = [rng.uniform(0.0, 1.0, (8, 2)) for _ in range(3)]
+        idx = np.indices((8, 8, 8)).reshape(3, -1).T
+        pts = np.stack([mu[idx[:, i]] for i, mu in enumerate(marginals)], axis=1)
+        calls = []
+        original = infconv._gradient_state
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(infconv, "_gradient_state", counted)
+        _, _, grad = batch_barycenters(pts, 1.2)
+        assert len(calls) < 100
+        assert grad.max() < 1e-8
+
+
+@st.composite
+def _tuple_batches(draw):
+    """Batches of point tuples, some with coincident or near-coincident atoms."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 5))
+    d = draw(st.integers(1, 3))
+    coords = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
+    pts = np.array(draw(st.lists(coords, min_size=m * n * d, max_size=m * n * d))).reshape(m, n, d)
+    for k in range(m):
+        gap = draw(st.sampled_from([None, 0.0, 1e-12, 1e-8, 1e-4]))
+        if gap is not None:
+            i, j = draw(st.permutations(range(n)))[:2]
+            pts[k, j] = pts[k, i] + gap
+    return pts
+
+
+class TestSmallExponentProperties:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(pts=_tuple_batches(), p=st.floats(1.0, 2.0, exclude_min=True, exclude_max=True))
+    def test_returned_rows_are_stationary_and_minimal(self, pts, p):
+        try:
+            with np.errstate(all="ignore"):
+                z, val, grad = batch_barycenters(pts, p)
+        except ConvergenceError:
+            return
+        diff = pts - z[:, None, :]
+        r = np.linalg.norm(diff, axis=2)
+        scale = 1.0 + (r ** (p - 1.0)).sum(axis=1)
+        coeff = np.where(r > 0.0, p * np.where(r > 0.0, r, 1.0) ** (p - 2.0), 0.0)
+        resid = np.linalg.norm((coeff[:, :, None] * diff).sum(axis=1), axis=1)
+        assert (grad <= infconv.DEFAULT_TOL * scale).all()
+        assert np.all(np.abs(resid - grad) <= 1e-12 * scale)
+        # convexity: f(z) - f(y) <= |grad f(z)| |z - y| for every y
+        for k in range(len(pts)):
+            for y in np.vstack([pts[k].mean(axis=0), pts[k]]):
+                obj = (np.linalg.norm(pts[k] - y, axis=1) ** p).sum()
+                slack = (grad[k] + 1e-12 * scale[k]) * np.linalg.norm(z[k] - y) + 1e-12 * obj
+                assert val[k] <= obj + slack

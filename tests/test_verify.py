@@ -10,7 +10,6 @@ import pytest
 from baryflow import (
     CheckOutcome,
     DiscreteMeasure,
-    VerificationReport,
     build_particle_flow,
     continuity_residual,
     random_marginals,
