@@ -50,7 +50,9 @@ print("and is then a fixed point:", np.abs(phi_c2 - phi_c).max())
 print()
 
 # The multi-marginal solver carries a dual vector per marginal; the
-# certificate re-enumerates every tuple cost independently.
+# certificate bounds every tuple cost in closed form at the meeting
+# points the solve kept, from above by the objective there and from
+# below by the conjugate (weak duality), and solves nothing again.
 marginals = random_marginals(seed=100, n_marginals=3, n_atoms=4, dim=2)
 mres = solve_mmot(marginals, p)
 cert = dual_feasibility_check(mres)

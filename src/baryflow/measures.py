@@ -38,7 +38,6 @@ __all__ = [
     "Coupling",
     "MultiPlan",
     "validate_measure",
-    "validate_coupling",
     "validate_multiplan",
     "canonicalize",
     "marginal",
@@ -226,33 +225,6 @@ def validate_measure(m: DiscreteMeasure) -> DiscreteMeasure:
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise WeightSumError(f"weights sum to {total!r}, expected 1")
     return m
-
-
-def validate_coupling(plan: Coupling, mu: DiscreteMeasure, nu: DiscreteMeasure) -> Coupling:
-    """Check that ``plan`` couples ``mu`` to ``nu``.
-
-    Every entry must carry nonnegative mass on valid indices, and both
-    marginal sums must match the measures within ``MARGINAL_TOL`` per atom.
-    """
-    if plan.n_source != len(mu) or plan.n_target != len(nu):
-        raise DimensionMismatchError("coupling shape does not match the measures")
-    if len(plan.masses) and plan.masses.min() < -_NEG_TOL:
-        raise NegativeWeightError(f"negative plan mass {plan.masses.min()!r}")
-    if not np.isfinite(plan.masses).all():
-        raise NonFiniteCoordinateError("coupling has a non-finite mass")
-    ok_rows = (plan.rows >= 0) & (plan.rows < plan.n_source)
-    ok_cols = (plan.cols >= 0) & (plan.cols < plan.n_target)
-    if not (ok_rows.all() and ok_cols.all()):
-        raise IndexOutOfRangeError("coupling entry indexes a missing atom")
-    row_sum = np.bincount(plan.rows, weights=plan.masses, minlength=plan.n_source)
-    col_sum = np.bincount(plan.cols, weights=plan.masses, minlength=plan.n_target)
-    row_err = float(np.abs(row_sum - mu.weights).max())
-    col_err = float(np.abs(col_sum - nu.weights).max())
-    if max(row_err, col_err) > MARGINAL_TOL:
-        raise MarginalMismatchError(
-            f"marginal mismatch: source {row_err:.3e}, target {col_err:.3e}"
-        )
-    return plan
 
 
 def validate_multiplan(plan: MultiPlan, marginals: Sequence[DiscreteMeasure]) -> MultiPlan:

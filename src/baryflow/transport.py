@@ -35,6 +35,7 @@ from .exceptions import (
     ProductGridError,
 )
 from .infconv import DEFAULT_TOL, _balance_residual, batch_barycenters, check_exponent
+from .infconv import _dual_lower_bound, _objective
 from .measures import (
     Coupling,
     DiscreteMeasure,
@@ -113,9 +114,11 @@ class MmotResult:
         Sparse optimal plan over index tuples.
     value : float
         Optimal multi-marginal cost.
+    grid_barycenters : ndarray, shape (n_1 * ... * n_N, d)
+        Barycenter point (the minimizer of the inner infimal
+        convolution) of every grid tuple, in the C order of ``np.indices``.
     tuple_barycenters : ndarray, shape (k, d)
-        Barycenter point of each support tuple (the minimizer of the
-        inner infimal convolution).
+        Property: the rows of ``grid_barycenters`` on the plan support.
     potentials : tuple of ndarray
         One dual vector per marginal; their direct sum is dominated by
         the tuple cost on the whole grid.
@@ -127,15 +130,20 @@ class MmotResult:
 
     plan: MultiPlan
     value: float
-    tuple_barycenters: np.ndarray
+    grid_barycenters: np.ndarray
     potentials: tuple[np.ndarray, ...]
     marginals: tuple[DiscreteMeasure, ...]
     p: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tuple_barycenters", _freeze(self.tuple_barycenters, float))
+        object.__setattr__(self, "grid_barycenters", _freeze(self.grid_barycenters, float))
         object.__setattr__(self, "potentials", tuple(_freeze(pot, float) for pot in self.potentials))
         object.__setattr__(self, "marginals", tuple(self.marginals))
+
+    @property
+    def tuple_barycenters(self) -> np.ndarray:
+        flat = np.ravel_multi_index(self.plan.indices.T, self.plan.support_sizes)
+        return self.grid_barycenters[flat]
 
 
 @dataclass(frozen=True)
@@ -143,10 +151,11 @@ class DualCertificate:
     """Numerical certificate for a multi-marginal dual vector.
 
     ``max_violation`` is the worst excess of the summed potentials over
-    the tuple cost on the full grid (feasibility; should be ~0 or
-    negative), ``duality_gap`` is the absolute mismatch between primal
-    value and dual pairing, and ``support_slack`` is the worst deviation
-    from complementary slackness on the plan support.
+    a lower bound on the tuple cost on the full grid (feasibility;
+    should be ~0 or negative), ``duality_gap`` is the absolute mismatch
+    between primal value and dual pairing, and ``support_slack`` is the
+    worst deviation on the plan support from an upper bound on the cost
+    (complementary slackness); see :func:`dual_feasibility_check`.
     """
 
     max_violation: float
@@ -395,28 +404,6 @@ def _tuple_points(marginals: tuple[DiscreteMeasure, ...], indices: np.ndarray) -
     return np.stack([mu.points[indices[:, i]] for i, mu in enumerate(marginals)], axis=1)
 
 
-def _tuple_grid(
-    marginals: tuple[DiscreteMeasure, ...],
-    p: float,
-    max_grid: int,
-    newton_tol: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Enumerate the product grid: index tuples, costs, barycenters."""
-    sizes = [len(mu) for mu in marginals]
-    total = math.prod(sizes)
-    if total > max_grid:
-        raise ProductGridError(
-            f"product grid has {total} tuples, above the cap {max_grid}; "
-            "raise max_grid explicitly if this size is intended"
-        )
-    indices = np.indices(sizes).reshape(len(sizes), total).T
-    try:
-        barycenters, costs, _ = batch_barycenters(_tuple_points(marginals, indices), p, tol=newton_tol)
-    except ConvergenceError as exc:
-        raise ConvergenceError(f"tuple grid {'x'.join(map(str, sizes))}: {exc}") from exc
-    return indices, costs, barycenters
-
-
 def solve_mmot(
     marginals: list[DiscreteMeasure] | tuple[DiscreteMeasure, ...],
     p: float,
@@ -452,7 +439,17 @@ def solve_mmot(
         validate_measure(mu)
 
     sizes = tuple(len(mu) for mu in mus)
-    indices, costs, barycenters = _tuple_grid(mus, p, max_grid, newton_tol)
+    total = math.prod(sizes)
+    if total > max_grid:
+        raise ProductGridError(
+            f"product grid has {total} tuples, above the cap {max_grid}; "
+            "raise max_grid explicitly if this size is intended"
+        )
+    indices = np.indices(sizes).reshape(len(sizes), total).T
+    try:
+        barycenters, costs, _ = batch_barycenters(_tuple_points(mus, indices), p, tol=newton_tol)
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"tuple grid {'x'.join(map(str, sizes))}: {exc}") from exc
     support, masses, value, potentials = _transport_simplex(
         costs.reshape(sizes), [mu.weights for mu in mus]
     )
@@ -465,7 +462,7 @@ def solve_mmot(
     return MmotResult(
         plan=plan,
         value=value,
-        tuple_barycenters=barycenters[support],
+        grid_barycenters=barycenters,
         potentials=potentials,
         marginals=mus,
         p=p,
@@ -495,28 +492,32 @@ def extract_barycenter(result: MmotResult) -> DiscreteMeasure:
     return canonicalize(DiscreteMeasure(result.tuple_barycenters, result.plan.masses))
 
 
-def dual_feasibility_check(result: MmotResult, *, max_grid: int = MAX_GRID) -> DualCertificate:
+def dual_feasibility_check(result: MmotResult) -> DualCertificate:
     """Certify the potentials of a solved multi-marginal problem.
 
-    Recomputes every tuple cost of the product grid (independently of the
-    solve) and measures dual feasibility, the duality gap, and
-    complementary slackness on the plan support.
+    No barycenter is solved again: the solve's ``grid_barycenters`` serve
+    only as witnesses, at which each tuple cost is bounded in closed form,
+    from above by the objective and from below by the weak-duality bound
+    of its conjugate, which holds at any point.  A wrong witness can only
+    make the check fail.  Feasibility is measured against the smaller
+    bound on the full grid, complementary slackness against the upper one
+    on the plan support, and the duality gap against the reported value.
     """
-    mus = result.marginals
-    indices, costs, _ = _tuple_grid(mus, result.p, max_grid, DEFAULT_TOL)
+    mus, sizes, p = result.marginals, result.plan.support_sizes, result.p
+    indices = np.indices(sizes).reshape(len(sizes), -1).T
+    points = _tuple_points(mus, indices)
+    upper = _objective(points, result.grid_barycenters, p)
+    lower = np.minimum(_dual_lower_bound(points, result.grid_barycenters, p), upper)
     summed = np.zeros(len(indices))
     for k, pot in enumerate(result.potentials):
         summed += pot[indices[:, k]]
-    max_violation = float((summed - costs).max())
+    max_violation = float((summed - lower).max())
 
     pairing = sum(float(pot @ mu.weights) for pot, mu in zip(result.potentials, mus))
     duality_gap = abs(pairing - result.value)
 
-    support_sum = np.zeros(len(result.plan))
-    for k, pot in enumerate(result.potentials):
-        support_sum += pot[result.plan.indices[:, k]]
-    flat = np.ravel_multi_index(result.plan.indices.T, result.plan.support_sizes)
-    support_slack = float(np.abs(costs[flat] - support_sum).max(initial=0.0))
+    flat = np.ravel_multi_index(result.plan.indices.T, sizes)
+    support_slack = float(np.abs(upper[flat] - summed[flat]).max(initial=0.0))
     return DualCertificate(
         max_violation=max_violation,
         duality_gap=float(duality_gap),

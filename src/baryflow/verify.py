@@ -147,16 +147,15 @@ def run_verification(
     *,
     value_tol: float = 1e-7,
     max_grid: int = MAX_GRID,
-    translation_test: bool = True,
 ) -> VerificationReport:
     """Solve one instance along every route and certify the identities.
 
     ``value_tol`` bounds the relative spread of the four values (scaled
     by ``1 + |value|``); the structural checks use the module-level fixed
-    tolerances.  The translation check re-solves the instance with all
-    marginals shifted by :func:`translation_vector` and compares both the
-    value and the extracted barycenter, which costs a second solve; it
-    can be disabled for quick value-only runs.
+    tolerances.  The dual certificate reuses the solve's meeting points,
+    so the only second solve is the translation check's: it re-solves
+    the instance with all marginals shifted by :func:`translation_vector`
+    and compares both the value and the extracted barycenter.
     """
     p = check_exponent(p)
     mus = tuple(marginals)
@@ -196,7 +195,7 @@ def run_verification(
     checks["continuity"] = CheckOutcome(
         residual=float(np.abs(boundary - integral).max()), tolerance=CONTINUITY_TOL
     )
-    certificate = dual_feasibility_check(result, max_grid=max_grid)
+    certificate = dual_feasibility_check(result)
     dual_residual = max(
         max(certificate.max_violation, 0.0),
         certificate.duality_gap,
@@ -204,31 +203,30 @@ def run_verification(
     )
     checks["dual_certificate"] = CheckOutcome(residual=dual_residual / scale, tolerance=DUAL_TOL)
 
-    if translation_test:
-        shift = translation_vector(mus[0].dim)
-        shifted = tuple(
-            DiscreteMeasure(mu.points + shift, mu.weights) for mu in mus
+    shift = translation_vector(mus[0].dim)
+    shifted = tuple(
+        DiscreteMeasure(mu.points + shift, mu.weights) for mu in mus
+    )
+    shifted_result = solve_mmot(shifted, p, max_grid=max_grid)
+    value_shift = abs(shifted_result.value - result.value) / scale
+    moved = canonicalize(
+        DiscreteMeasure(barycenter.points + shift, barycenter.weights)
+    )
+    shifted_barycenter = extract_barycenter(shifted_result)
+    if len(moved) == len(shifted_barycenter):
+        coord_error = float(
+            np.abs(moved.points - shifted_barycenter.points).max(initial=0.0)
         )
-        shifted_result = solve_mmot(shifted, p, max_grid=max_grid)
-        value_shift = abs(shifted_result.value - result.value) / scale
-        moved = canonicalize(
-            DiscreteMeasure(barycenter.points + shift, barycenter.weights)
+        weight_error = float(
+            np.abs(moved.weights - shifted_barycenter.weights).max(initial=0.0)
         )
-        shifted_barycenter = extract_barycenter(shifted_result)
-        if len(moved) == len(shifted_barycenter):
-            coord_error = float(
-                np.abs(moved.points - shifted_barycenter.points).max(initial=0.0)
-            )
-            weight_error = float(
-                np.abs(moved.weights - shifted_barycenter.weights).max(initial=0.0)
-            )
-        else:
-            coord_error = float("inf")
-            weight_error = float("inf")
-        checks["translation_invariance"] = CheckOutcome(
-            residual=max(value_shift, coord_error, weight_error),
-            tolerance=TRANSLATION_TOL,
-        )
+    else:
+        coord_error = float("inf")
+        weight_error = float("inf")
+    checks["translation_invariance"] = CheckOutcome(
+        residual=max(value_shift, coord_error, weight_error),
+        tolerance=TRANSLATION_TOL,
+    )
 
     return VerificationReport(p=p, values=values, checks=checks)
 

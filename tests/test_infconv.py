@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,6 @@ from baryflow import (
     batch_barycenters,
     check_exponent,
     infconv_cost,
-    power_cost,
     power_cost_gradient,
 )
 from baryflow import infconv
@@ -44,14 +45,6 @@ class TestExponent:
 
 
 class TestPowerCost:
-    def test_matches_formula(self):
-        assert power_cost(np.array([3.0, 4.0]), 3.0) == pytest.approx(125.0)
-        assert power_cost(-2.0, 3.0) == pytest.approx(8.0)
-
-    def test_broadcasts_over_leading_axes(self):
-        x = np.array([[0.0, 1.0], [3.0, 4.0]])
-        assert power_cost(x, 2.0) == pytest.approx([1.0, 25.0])
-
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(8)
         u = rng.uniform(0.2, 1.0, size=3)
@@ -60,7 +53,7 @@ class TestPowerCost:
             for k in range(3):
                 e = np.zeros(3)
                 e[k] = 1e-7
-                fd = (power_cost(u + e, p) - power_cost(u - e, p)) / 2e-7
+                fd = (np.linalg.norm(u + e) ** p - np.linalg.norm(u - e) ** p) / 2e-7
                 assert g[k] == pytest.approx(fd, rel=1e-5)
 
     def test_gradient_zero_at_origin(self):
@@ -146,7 +139,7 @@ class TestInfconvValue:
         x = rng.normal(size=(4, 2))
         val = infconv_cost(x, 2.5)
         for trial in rng.normal(size=(20, 2)):
-            assert val <= power_cost(x - trial, 2.5).sum() + 1e-12
+            assert val <= (np.linalg.norm(x - trial, axis=1) ** 2.5).sum() + 1e-12
 
 
 class TestBatch:
@@ -243,6 +236,22 @@ class TestBatch:
         with np.errstate(all="ignore"), pytest.raises(NonFiniteCoordinateError):
             batch_barycenters(np.array([[[0.0, 0.0], [1e160, 0.0]]]), p)
 
+    @pytest.mark.parametrize(
+        "tup",
+        [
+            [[0.0, 0.0], [1e110, 0.0]],
+            [[0.0, 0.0], [1e110, 0.0], [0.0, 1e110]],
+            [[0.0, 0.0], [1e90, 0.0], [0.0, 1e90]],
+        ],
+    )
+    def test_cost_overflow_at_p_three_raises(self, tup):
+        # the distances square fine, but their cube or the squared
+        # residual overflows: once an infinite value passed as converged
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteCoordinateError, match="overflow"):
+                batch_barycenters(np.array([tup]), 3.0)
+
     def test_pinned_finish_keeps_no_overflowed_point(self):
         # started from the tuple mean, away from any pinned minimizer, the
         # balance steps run off towards infinity on most rows
@@ -315,3 +324,44 @@ class TestSmallExponentProperties:
                 obj = (np.linalg.norm(pts[k] - y, axis=1) ** p).sum()
                 slack = (grad[k] + 1e-12 * scale[k]) * np.linalg.norm(z[k] - y) + 1e-12 * obj
                 assert val[k] <= obj + slack
+
+
+class TestDualLowerBound:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        pts=_tuple_batches(),
+        p=st.floats(1.0, 8.0, exclude_min=True),
+        scale=st.floats(-6.0, 6.0).map(lambda e: 10.0**e),
+        offset=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+    )
+    def test_bounds_bracket_the_cost_at_any_witness(self, pts, p, scale, offset):
+        # weak duality: L(w) <= cost <= U(w) at every witness w
+        pts = scale * pts
+        mean = pts.mean(axis=1)
+        witnesses = [mean, mean + scale * np.array(offset[: pts.shape[2]])]
+        with np.errstate(all="ignore"):
+            try:
+                z, value, grad = batch_barycenters(pts, p)
+            except ConvergenceError:
+                value = None
+            else:
+                witnesses.append(z)
+            lower = [infconv._dual_lower_bound(pts, w, p) for w in witnesses]
+            upper = [infconv._objective(pts, w, p) for w in witnesses]
+        eps = np.finfo(float).eps
+        for w, lo, up in zip(witnesses, lower, upper):
+            # rounding of L: a few ulps of its terms, which are about p U(w),
+            # and |ln r| ulps at radius r from the rounded exponent 1/(p-1)
+            r = np.linalg.norm(pts - w[:, None, :], axis=2)
+            logs = np.abs(np.log(np.where(r > 0.0, r, 1.0))).max(axis=1)
+            allowance = 4 * pts.shape[1] * p * eps * (1.0 + logs) * up
+            for other in upper:
+                assert (lo <= other + allowance).all()
+            if value is not None:
+                assert (lo <= value + allowance).all()
+                # Newton meets a gradient tolerance, not a value one, so by
+                # convexity it is within |grad| |z - w| of the objective at w
+                slack = grad * np.linalg.norm(z - w, axis=1)
+                assert (value <= up + slack + 4 * eps * value).all()
+        if value is not None:
+            assert np.array_equal(upper[-1], value)

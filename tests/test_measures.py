@@ -24,7 +24,6 @@ from baryflow import (
     measure_to_dict,
     measures_close,
     save_measure,
-    validate_coupling,
     validate_measure,
     validate_multiplan,
 )
@@ -129,25 +128,6 @@ class TestCoupling:
     def test_dense_round_trip(self):
         c = Coupling(2, 2, rows=[0, 1], cols=[1, 0], masses=[0.5, 0.5])
         assert np.array_equal(c.as_dense(), [[0.0, 0.5], [0.5, 0.0]])
-
-    def test_validates_against_marginals(self, uniform_pair):
-        c = Coupling(2, 2, rows=[0, 1], cols=[0, 1], masses=[0.5, 0.5])
-        validate_coupling(c, uniform_pair, uniform_pair)
-
-    def test_marginal_mismatch_detected(self, uniform_pair):
-        c = Coupling(2, 2, rows=[0, 1], cols=[0, 1], masses=[0.6, 0.4])
-        with pytest.raises(MarginalMismatchError):
-            validate_coupling(c, uniform_pair, uniform_pair)
-
-    def test_negative_mass_detected(self, uniform_pair):
-        c = Coupling(2, 2, rows=[0, 0, 1], cols=[0, 1, 1], masses=[0.6, -0.1, 0.5])
-        with pytest.raises(NegativeWeightError):
-            validate_coupling(c, uniform_pair, uniform_pair)
-
-    def test_out_of_range_index_detected(self, uniform_pair):
-        c = Coupling(2, 2, rows=[0, 2], cols=[0, 1], masses=[0.5, 0.5])
-        with pytest.raises(IndexOutOfRangeError):
-            validate_coupling(c, uniform_pair, uniform_pair)
 
     def test_potential_length_checked(self):
         with pytest.raises(DimensionMismatchError):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -28,6 +29,7 @@ from baryflow import (
     validate_multiplan,
     wb_value,
 )
+from baryflow import infconv, transport
 
 from .oracles import (
     assignment_value,
@@ -236,6 +238,9 @@ class TestMmot:
         res = solve_mmot(mus, 2.0)
         sup = np.stack([mus[k].points[res.plan.indices[:, k]] for k in range(3)], axis=1)
         assert np.allclose(res.tuple_barycenters, sup.mean(axis=1), atol=1e-12)
+        idx = np.indices([3, 3, 3]).reshape(3, -1).T
+        grid = np.stack([mus[k].points[idx[:, k]] for k in range(3)], axis=1)
+        assert np.allclose(res.grid_barycenters, grid.mean(axis=1), atol=1e-12)
 
     def test_grid_cap_enforced(self):
         rng = np.random.default_rng(15)
@@ -436,3 +441,27 @@ class TestDualCertificates:
         assert cert.max_violation < 1e-9
         assert cert.duality_gap < 1e-9 * (1.0 + abs(res.value))
         assert cert.support_slack < 1e-9
+
+    def test_no_barycenter_is_solved_again(self, monkeypatch):
+        # the check bounds the costs in closed form at the solve's points
+        rng = np.random.default_rng(22)
+        res = solve_mmot([random_measure(rng, 3, 2, uniform=False) for _ in range(3)], 1.5)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the dual check solved a barycenter")
+
+        monkeypatch.setattr(transport, "batch_barycenters", refuse)
+        monkeypatch.setattr(infconv, "batch_barycenters", refuse)
+        cert = dual_feasibility_check(res)
+        assert cert.max_violation < 1e-9
+
+    def test_tuple_means_never_lower_the_violation(self):
+        # the meeting points are witnesses only: a worse point can weaken
+        # the bounds and raise the violation, never hide one
+        rng = np.random.default_rng(23)
+        mus = [random_measure(rng, 4, 2, uniform=False) for _ in range(3)]
+        res = solve_mmot(mus, 1.5)
+        idx = np.indices([4, 4, 4]).reshape(3, -1).T
+        means = np.stack([mu.points[idx[:, k]] for k, mu in enumerate(mus)], axis=1).mean(axis=1)
+        worse = dataclasses.replace(res, grid_barycenters=means)
+        assert dual_feasibility_check(worse).max_violation > dual_feasibility_check(res).max_violation

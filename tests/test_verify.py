@@ -17,6 +17,7 @@ from baryflow import (
     solve_mmot,
     translation_vector,
 )
+from baryflow import flows, transport
 
 
 @pytest.fixture(scope="module")
@@ -99,11 +100,6 @@ class TestRunVerification:
         assert "momentum_balance" not in rep.checks
         assert rep.passed
 
-    def test_translation_check_can_be_skipped(self):
-        rep = run_verification(random_marginals(42, 2, 3, 2), 2.0, translation_test=False)
-        assert "translation_invariance" not in rep.checks
-        assert rep.passed
-
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_non_quadratic_exponents_pass(self, p):
         rep = run_verification(random_marginals(43, 3, 3, 2), p)
@@ -142,11 +138,27 @@ class TestRunVerification:
         mus = [
             DiscreteMeasure(1e3 * mu.points, mu.weights) for mu in random_marginals(47, 3, 4, 2)
         ]
-        rep = run_verification(mus, 1.5, translation_test=False)
+        rep = run_verification(mus, 1.5)
         flow = build_particle_flow(solve_mmot(mus, 1.5))
         residuals = [continuity_residual(flow, i) for i in range(flow.n_marginals)]
         assert max(residuals) > 0.0
         assert rep.checks["continuity"].residual == max(residuals)
+
+    def test_one_newton_grid_per_solve(self, monkeypatch):
+        # the solve and the translated re-solve; the dual certificate
+        # reuses the solve's meeting points
+        sizes = []
+        original = transport.batch_barycenters
+
+        def counted(points, p, **kwargs):
+            sizes.append(len(points))
+            return original(points, p, **kwargs)
+
+        monkeypatch.setattr(transport, "batch_barycenters", counted)
+        monkeypatch.setattr(flows, "batch_barycenters", counted)
+        rep = run_verification(random_marginals(48, 3, 4, 2), 1.5)
+        assert rep.passed, rep.failing()
+        assert sizes.count(4**3) == 2
 
     def test_impossible_tolerance_fails_the_value_chain(self):
         rep = run_verification(random_marginals(46, 2, 3, 2), 2.0, value_tol=0.0)
