@@ -25,7 +25,7 @@ mu, nu = random_marginals(seed=99, n_marginals=2, n_atoms=5, dim=2)
 # Pairwise duality: psi(x) + phi(y) <= |x - y|^p everywhere, with
 # equality exactly where the optimal plan puts mass.
 res = solve_pairwise(mu, nu, p)
-psi, phi = res.source_potentials, res.target_potentials
+psi, phi = res.potentials
 pairing = psi @ mu.weights + phi @ nu.weights
 print("primal value:", res.value)
 print("dual pairing:", pairing)
@@ -34,7 +34,7 @@ print("gap:         ", abs(res.value - pairing))
 cost = pairwise_cost_matrix(mu.points, nu.points, p)
 slack = cost - psi[:, None] - phi[None, :]
 print("worst feasibility violation:", -slack.min())
-support = res.coupling.as_dense() > 1e-12
+support = res.plan.as_dense() > 1e-12
 print("max slack on the plan support:", np.abs(slack[support]).max())
 print()
 

@@ -10,7 +10,6 @@ driver that certifies the full identity chain.
 """
 
 from baryflow import (
-    build_coupling_flow,
     build_particle_flow,
     coupling_flow_action,
     extract_barycenter,
@@ -39,10 +38,9 @@ v_func = wb_value(bary, marginals, p)
 flow = build_particle_flow(result)
 v_flow = flow_action(flow)
 
-# Route 4: reinterpret each particle tuple as a single particle in the
-# product space, with the infimal-convolution cost on its velocity.
-cflow = build_coupling_flow(flow)
-v_cflow = coupling_flow_action(cflow)
+# Route 4: read each particle tuple of the same flow as a single particle
+# in the product space, with the infimal-convolution cost on its velocity.
+v_cflow = coupling_flow_action(flow)
 
 values = {
     "multi-marginal LP": v_mmot,

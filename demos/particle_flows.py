@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from baryflow import (
-    build_coupling_flow,
     build_particle_flow,
     coupling_snapshot,
     export_flow_frames,
@@ -54,11 +53,10 @@ for i in range(flow.n_marginals):
           f"W_p(t=0.25, t=0.75) = {half:.6f}, ratio {half / full:.6f} (expect 0.5)")
 print()
 
-# The coupling flow lives in the product space: at t = 0 its atoms sit
-# on the diagonal (all factors equal), at t = 1 they form a coupling of
-# the marginals.
-cflow = build_coupling_flow(flow)
-diag = coupling_snapshot(cflow, 0.0)
+# Read in the product space, the same flow is a flow of couplings: at
+# t = 0 its atoms sit on the diagonal (all factors equal), at t = 1 they
+# form a coupling of the marginals.
+diag = coupling_snapshot(flow, 0.0)
 blocks = diag.points[0].reshape(flow.n_marginals, flow.dim)
 print("coupling flow at t=0, first atom factors:", np.round(blocks, 3).tolist())
 print("all factors equal:", np.allclose(blocks, blocks[0]))

@@ -23,7 +23,6 @@ from pathlib import Path
 
 from .exceptions import BaryflowError
 from .flows import (
-    build_coupling_flow,
     build_particle_flow,
     coupling_flow_action,
     export_coupling_frames,
@@ -148,19 +147,18 @@ def _cmd_flow(args: argparse.Namespace) -> int:
     measures = _load_all(args.measures)
     result = solve_mmot(measures, args.p, max_grid=args.max_grid, newton_tol=args.tol)
     flow = build_particle_flow(result)
-    cflow = build_coupling_flow(flow)
     times = [i / (args.frames - 1) for i in range(args.frames)]
     args.out.mkdir(parents=True, exist_ok=True)
     flow_path = args.out / "flow_frames.csv"
     coupling_path = args.out / "coupling_frames.csv"
     export_flow_frames(flow, times, flow_path)
-    export_coupling_frames(cflow, times, coupling_path)
+    export_coupling_frames(flow, times, coupling_path)
     _emit({
         "p": args.p,
         "frames": args.frames,
         "times": times,
         "flow_action": flow_action(flow),
-        "coupling_flow_action": coupling_flow_action(cflow),
+        "coupling_flow_action": coupling_flow_action(flow),
         "files": [str(flow_path), str(coupling_path)],
     })
     return 0

@@ -7,13 +7,15 @@ at time one.  Family ``i`` of particles therefore interpolates the
 barycenter measure to the ``i``-th marginal; these are the geodesic
 (displacement) interpolations of the pairwise transport problems.
 
-Reinterpreting a whole tuple as a single particle in the product space
-gives a flow of couplings: it starts on the diagonal (every factor at the
-barycenter point) and ends at a coupling of the marginals.  Its action
-under the infimal-convolution cost of the velocity components equals the
-plain flow action, because the summed velocity gradients of each tuple
-vanish at the barycenter; both quantities are computed here
-independently so the equality can be certified rather than assumed.
+Reading a whole tuple as a single particle in the product space gives a
+flow of couplings: it starts on the diagonal (every factor at the
+barycenter point) and ends at a coupling of the marginals.  It is not a
+separate object: the ``coupling_*`` functions take the
+:class:`ParticleFlow` and read it in product space.  Its action under the
+infimal-convolution cost of the velocity components equals the plain
+flow action, because the summed velocity gradients of each tuple vanish
+at the barycenter; both quantities are computed here independently so
+the equality can be certified rather than assumed.
 
 All time integrals are evaluated in closed form or by Gauss-Legendre
 quadrature on polynomial integrands; nothing is time-stepped.
@@ -40,9 +42,7 @@ from .transport import MmotResult, _tuple_points
 
 __all__ = [
     "ParticleFlow",
-    "CouplingFlow",
     "build_particle_flow",
-    "build_coupling_flow",
     "snapshot",
     "coupling_snapshot",
     "flow_start_measure",
@@ -110,42 +110,6 @@ class ParticleFlow:
         return len(self.masses)
 
 
-@dataclass(frozen=True)
-class CouplingFlow:
-    """Straight-line flow of couplings in the product space R^(N*d).
-
-    At time zero all factor coordinates coincide (the diagonal measure of
-    the barycenter), at time one the atoms form a coupling of the
-    marginals.
-    """
-
-    starts: np.ndarray
-    targets: np.ndarray
-    masses: np.ndarray
-    p: float
-    n_marginals: int
-
-    def __post_init__(self) -> None:
-        starts = np.asarray(self.starts, dtype=float)
-        targets = np.asarray(self.targets, dtype=float)
-        if starts.shape != targets.shape or starts.ndim != 2:
-            raise DimensionMismatchError("starts and targets must share a (K, N*d) shape")
-        if starts.shape[1] % self.n_marginals != 0:
-            raise DimensionMismatchError("flat dimension is not a multiple of the marginal count")
-        object.__setattr__(self, "starts", _freeze(starts))
-        object.__setattr__(self, "targets", _freeze(targets))
-        object.__setattr__(self, "masses", _freeze(self.masses, float))
-        object.__setattr__(self, "p", check_exponent(self.p))
-
-    @property
-    def dim(self) -> int:
-        """Dimension of one factor."""
-        return self.starts.shape[1] // self.n_marginals
-
-    def __len__(self) -> int:
-        return len(self.masses)
-
-
 def build_particle_flow(result: MmotResult) -> ParticleFlow:
     """Particle flow of an optimal plan: one tuple of particles per entry."""
     return ParticleFlow(
@@ -156,16 +120,15 @@ def build_particle_flow(result: MmotResult) -> ParticleFlow:
     )
 
 
-def build_coupling_flow(flow: ParticleFlow) -> CouplingFlow:
-    """Reinterpret the particle tuples as single product-space particles."""
+def _product_space(flow: ParticleFlow) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and targets of the coupling flow, both shape (K, N*d).
+
+    Each particle tuple is one product-space particle: it starts on the
+    diagonal, every factor at the tuple's start, and ends at the tuple's
+    targets laid side by side.
+    """
     K, N, d = flow.targets.shape
-    return CouplingFlow(
-        starts=np.tile(flow.starts, (1, N)),
-        targets=flow.targets.reshape(K, N * d),
-        masses=flow.masses,
-        p=flow.p,
-        n_marginals=N,
-    )
+    return np.tile(flow.starts, (1, N)), flow.targets.reshape(K, N * d)
 
 
 def _check_time(t: float) -> float:
@@ -188,11 +151,12 @@ def snapshot(flow: ParticleFlow, i: int, t: float) -> DiscreteMeasure:
     return canonicalize(DiscreteMeasure(positions, flow.masses))
 
 
-def coupling_snapshot(cflow: CouplingFlow, t: float) -> DiscreteMeasure:
-    """Product-space measure of the coupling flow at time ``t``."""
+def coupling_snapshot(flow: ParticleFlow, t: float) -> DiscreteMeasure:
+    """Product-space measure of the coupling flow of ``flow`` at time ``t``."""
     t = _check_time(t)
-    positions = (1.0 - t) * cflow.starts + t * cflow.targets
-    return canonicalize(DiscreteMeasure(positions, cflow.masses))
+    starts, targets = _product_space(flow)
+    positions = (1.0 - t) * starts + t * targets
+    return canonicalize(DiscreteMeasure(positions, flow.masses))
 
 
 def flow_start_measure(flow: ParticleFlow) -> DiscreteMeasure:
@@ -222,21 +186,18 @@ def flow_action(flow: ParticleFlow) -> float:
     return float((flow.masses * (speeds**flow.p).sum(axis=1)).sum())
 
 
-def coupling_flow_action(cflow: CouplingFlow) -> float:
-    """Action of the coupling flow under the infimal-convolution cost.
+def coupling_flow_action(flow: ParticleFlow) -> float:
+    """Action of the coupling flow of ``flow`` under the infimal-convolution cost.
 
-    The instantaneous cost of a product-space velocity is
-    ``inf_w sum_i |v_i - w|^p`` over its factor components; it is
-    computed here with the same Newton solver used for tuple costs, not
-    assumed to simplify.  For flows built from an optimal plan the inner
-    minimizer is the zero vector and the action equals
-    :func:`flow_action`.
+    The velocity of a product-space particle has the tuple's velocities
+    as its factor components, and its instantaneous cost is
+    ``inf_w sum_i |v_i - w|^p``; it is computed here with the same Newton
+    solver used for tuple costs, not assumed to simplify.  For flows
+    built from an optimal plan the inner minimizer is the zero vector and
+    the action equals :func:`flow_action`.
     """
-    K = len(cflow)
-    N, d = cflow.n_marginals, cflow.dim
-    velocities = (cflow.targets - cflow.starts).reshape(K, N, d)
-    _, costs, _ = batch_barycenters(velocities, cflow.p)
-    return float((cflow.masses * costs).sum())
+    _, costs, _ = batch_barycenters(flow.velocities, flow.p)
+    return float((flow.masses * costs).sum())
 
 
 def velocity_balance_residual(flow: ParticleFlow) -> float:
@@ -402,10 +363,11 @@ def export_flow_frames(flow: ParticleFlow, times: Sequence[float], path: str | P
     _write_frames(flow.starts, flow.targets, flow.masses, times, path)
 
 
-def export_coupling_frames(cflow: CouplingFlow, times: Sequence[float], path: str | Path) -> None:
-    """Write the coupling-flow frames as CSV over the product coordinates.
+def export_coupling_frames(flow: ParticleFlow, times: Sequence[float], path: str | Path) -> None:
+    """Write the frames of the coupling flow of ``flow`` as CSV.
 
     Same layout as :func:`export_flow_frames` with a single flow (column
-    value 1) and ``N * d`` coordinate and velocity columns.
+    value 1) and ``N * d`` product coordinate and velocity columns.
     """
-    _write_frames(cflow.starts, cflow.targets[:, None, :], cflow.masses, times, path)
+    starts, targets = _product_space(flow)
+    _write_frames(starts, targets[:, None, :], flow.masses, times, path)

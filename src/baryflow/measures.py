@@ -1,10 +1,10 @@
-"""Discrete measures, couplings, and multi-marginal plans.
+"""Discrete measures and multi-marginal plans.
 
 Weighted point clouds are the basic currency of the package: a probability
-measure is a finite sum of weighted Dirac atoms, a two-marginal transport
-plan is a sparse nonnegative matrix over a pair of supports, and an
-N-marginal plan assigns mass to index tuples.  All three are frozen
-dataclasses wrapping read-only numpy arrays.
+measure is a finite sum of weighted Dirac atoms, and an N-marginal
+transport plan assigns mass to index tuples, one atom per marginal (a
+pairwise plan is the case N = 2).  Both are frozen dataclasses wrapping
+read-only numpy arrays.
 
 Construction is deliberately permissive (only shape consistency is
 enforced), so that invalid objects can be built and then rejected by the
@@ -35,7 +35,6 @@ __all__ = [
     "WEIGHT_SUM_TOL",
     "MARGINAL_TOL",
     "DiscreteMeasure",
-    "Coupling",
     "MultiPlan",
     "validate_measure",
     "validate_multiplan",
@@ -125,49 +124,6 @@ class DiscreteMeasure:
 
 
 @dataclass(frozen=True)
-class Coupling:
-    """Sparse two-marginal transport plan.
-
-    Entry ``k`` places mass ``masses[k]`` on the source/target atom pair
-    ``(rows[k], cols[k])``.  Optional dual potentials live on the source
-    and target supports respectively.
-    """
-
-    n_source: int
-    n_target: int
-    rows: np.ndarray
-    cols: np.ndarray
-    masses: np.ndarray
-    source_potentials: np.ndarray | None = None
-    target_potentials: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        rows = np.asarray(self.rows, dtype=int)
-        cols = np.asarray(self.cols, dtype=int)
-        masses = _as_vector(self.masses, "masses")
-        if not (len(rows) == len(cols) == len(masses)):
-            raise DimensionMismatchError("rows, cols, masses must share a length")
-        object.__setattr__(self, "rows", _freeze(rows))
-        object.__setattr__(self, "cols", _freeze(cols))
-        object.__setattr__(self, "masses", _freeze(masses))
-        for name, size in (("source_potentials", self.n_source),
-                           ("target_potentials", self.n_target)):
-            val = getattr(self, name)
-            if val is None:
-                continue
-            vec = _as_vector(val, name)
-            if len(vec) != size:
-                raise DimensionMismatchError(f"{name} must have length {size}")
-            object.__setattr__(self, name, _freeze(vec))
-
-    def as_dense(self) -> np.ndarray:
-        """Return the plan as a dense ``(n_source, n_target)`` matrix."""
-        dense = np.zeros((self.n_source, self.n_target))
-        np.add.at(dense, (self.rows, self.cols), self.masses)
-        return dense
-
-
-@dataclass(frozen=True)
 class MultiPlan:
     """Sparse N-marginal transport plan over index tuples.
 
@@ -197,6 +153,12 @@ class MultiPlan:
 
     def __len__(self) -> int:
         return len(self.masses)
+
+    def as_dense(self) -> np.ndarray:
+        """Return the plan as a dense array of shape ``support_sizes``."""
+        dense = np.zeros(self.support_sizes)
+        np.add.at(dense, tuple(self.indices.T), self.masses)
+        return dense
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Two solvers live here.  ``solve_pairwise`` computes the p-Wasserstein
 cost ``W_p^p`` between two discrete measures as a transportation LP,
-returning dual potentials along with the optimal plan.
+returning dual potentials along with the optimal plan, a two-marginal
+:class:`~baryflow.measures.MultiPlan`.
 ``solve_mmot`` solves the multi-marginal problem whose ground cost is the
 infimal convolution of single power costs over a free barycenter point:
 
@@ -15,7 +16,8 @@ That equality, along with dual feasibility and complementary slackness,
 is what :mod:`baryflow.verify` certifies numerically.
 
 Both are transportation LPs over a product grid of atom indices (the
-pairwise one is the case N = 2) and share one transport simplex, which
+pairwise one is the case N = 2) and share one plan type and one
+transport simplex, which
 never forms a constraint matrix and keeps the inverse of its small basis
 with plain numpy (a revised simplex with a product-form inverse).
 """
@@ -37,7 +39,6 @@ from .exceptions import (
 from .infconv import DEFAULT_TOL, _balance_residual, batch_barycenters, check_exponent
 from .infconv import _dual_lower_bound, _objective
 from .measures import (
-    Coupling,
     DiscreteMeasure,
     MultiPlan,
     _freeze,
@@ -85,23 +86,20 @@ _MASS_DIP_LIMIT = 10 * _HARRIS_TOL
 class PairwiseResult:
     """Optimal plan and value of a two-marginal transport problem.
 
-    ``value`` is ``W_p^p`` between the marginals.  The potentials stored
-    on the coupling satisfy ``psi_i + phi_j <= cost_ij`` with equality on
-    the support, and their pairing with the marginal weights equals the
-    value (strong duality).
+    ``value`` is ``W_p^p`` between the marginals and ``plan`` a
+    two-marginal :class:`MultiPlan`.  The potentials ``(psi, phi)`` live
+    on the source and target supports; they satisfy
+    ``psi_i + phi_j <= cost_ij`` with equality on the support, and their
+    pairing with the marginal weights equals the value (strong duality).
     """
 
-    coupling: Coupling
+    plan: MultiPlan
     value: float
+    potentials: tuple[np.ndarray, np.ndarray]
     p: float
 
-    @property
-    def source_potentials(self) -> np.ndarray:
-        return self.coupling.source_potentials
-
-    @property
-    def target_potentials(self) -> np.ndarray:
-        return self.coupling.target_potentials
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "potentials", tuple(_freeze(pot, float) for pot in self.potentials))
 
 
 @dataclass(frozen=True)
@@ -355,19 +353,11 @@ def solve_pairwise(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> Pairwi
     validate_measure(mu)
     validate_measure(nu)
     p = check_exponent(p)
-    m, n = len(mu), len(nu)
+    sizes = (len(mu), len(nu))
     cost = pairwise_cost_matrix(mu.points, nu.points, p)
-    support, masses, value, (psi, phi) = _transport_simplex(cost, [mu.weights, nu.weights])
-    coupling = Coupling(
-        n_source=m,
-        n_target=n,
-        rows=support // n,
-        cols=support % n,
-        masses=masses,
-        source_potentials=psi,
-        target_potentials=phi,
-    )
-    return PairwiseResult(coupling=coupling, value=value, p=p)
+    support, masses, value, potentials = _transport_simplex(cost, [mu.weights, nu.weights])
+    plan = MultiPlan(2, sizes, np.column_stack(np.unravel_index(support, sizes)), masses)
+    return PairwiseResult(plan=plan, value=value, potentials=tuple(potentials), p=p)
 
 
 def wb_value(nu: DiscreteMeasure, marginals: list[DiscreteMeasure] | tuple[DiscreteMeasure, ...], p: float) -> float:

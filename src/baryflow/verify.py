@@ -26,7 +26,6 @@ import numpy as np
 
 from .flows import (
     _weak_form,
-    build_coupling_flow,
     build_particle_flow,
     coupling_flow_action,
     flow_action,
@@ -167,8 +166,7 @@ def run_verification(
     functional = wb_value(barycenter, mus, p)
     flow = build_particle_flow(result)
     action = flow_action(flow)
-    cflow = build_coupling_flow(flow)
-    caction = coupling_flow_action(cflow)
+    caction = coupling_flow_action(flow)
 
     values = {
         "mmot": result.value,

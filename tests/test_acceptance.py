@@ -19,7 +19,6 @@ import pytest
 from baryflow import (
     DiscreteMeasure,
     barycenter_point,
-    build_coupling_flow,
     build_particle_flow,
     c_transform,
     continuity_residual,
@@ -81,7 +80,6 @@ class SolvedInstance:
     barycenter: DiscreteMeasure
     functional: float
     flow: object
-    cflow: object
     action: float
     caction: float
 
@@ -94,7 +92,6 @@ def _solve_chain(mus, p) -> SolvedInstance:
     result = solve_mmot(mus, p)
     barycenter = extract_barycenter(result)
     flow = build_particle_flow(result)
-    cflow = build_coupling_flow(flow)
     return SolvedInstance(
         marginals=tuple(mus),
         p=p,
@@ -102,9 +99,8 @@ def _solve_chain(mus, p) -> SolvedInstance:
         barycenter=barycenter,
         functional=wb_value(barycenter, mus, p),
         flow=flow,
-        cflow=cflow,
         action=flow_action(flow),
-        caction=coupling_flow_action(cflow),
+        caction=coupling_flow_action(flow),
     )
 
 
@@ -248,9 +244,9 @@ def test_criterion_10_dual_certificates(solved):
         # it on the support of each optimal pairwise coupling
         for mu in inst.marginals:
             pair = solve_pairwise(inst.barycenter, mu, inst.p)
-            psi = pair.source_potentials
+            psi = pair.potentials[0]
             phi = c_transform(psi, inst.barycenter.points, mu.points, inst.p)
             psi_cc = c_transform(phi, mu.points, inst.barycenter.points, inst.p)
             assert (psi_cc - psi).min() >= -1e-7
-            coupled_rows = np.unique(pair.coupling.rows)
+            coupled_rows = np.unique(pair.plan.indices[:, 0])
             assert np.abs((psi_cc - psi)[coupled_rows]).max() <= 1e-7

@@ -11,7 +11,6 @@ from baryflow import (
     ParticleFlow,
     TimeOutOfRangeError,
     WrongExponentError,
-    build_coupling_flow,
     build_particle_flow,
     canonicalize,
     continuity_residual,
@@ -114,8 +113,7 @@ class TestSnapshots:
 
     def test_coupling_snapshot_starts_on_the_diagonal(self, solved):
         _, _, flow = solved
-        cflow = build_coupling_flow(flow)
-        start = coupling_snapshot(cflow, 0.0)
+        start = coupling_snapshot(flow, 0.0)
         d = flow.dim
         for pt in start.points:
             blocks = pt.reshape(flow.n_marginals, d)
@@ -150,8 +148,7 @@ class TestActions:
 
     def test_coupling_action_equals_flow_action(self, solved, solved_p15):
         for _, result, flow in (solved, solved_p15):
-            cflow = build_coupling_flow(flow)
-            assert coupling_flow_action(cflow) == pytest.approx(
+            assert coupling_flow_action(flow) == pytest.approx(
                 flow_action(flow), rel=1e-9
             )
 
@@ -310,9 +307,8 @@ class TestExport:
             masses=np.array([1.0]),
             p=2.0,
         )
-        cflow = build_coupling_flow(flow)
         path = tmp_path / "cframes.csv"
-        export_coupling_frames(cflow, [0.0, 0.5, 1.0], path)
+        export_coupling_frames(flow, [0.0, 0.5, 1.0], path)
         lines = path.read_text().splitlines()
         assert lines[0] == "t,flow,particle,mass,x_1,x_2,v_1,v_2"
         assert len(lines) == 1 + 3

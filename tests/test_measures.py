@@ -1,4 +1,4 @@
-"""Tests for discrete measures, couplings, and multi-marginal plans."""
+"""Tests for discrete measures and multi-marginal plans."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from baryflow import (
-    Coupling,
     DimensionMismatchError,
     DiscreteMeasure,
     IndexOutOfRangeError,
@@ -124,16 +123,6 @@ class TestCanonicalize:
         assert np.array_equal(once.weights, twice.weights)
 
 
-class TestCoupling:
-    def test_dense_round_trip(self):
-        c = Coupling(2, 2, rows=[0, 1], cols=[1, 0], masses=[0.5, 0.5])
-        assert np.array_equal(c.as_dense(), [[0.0, 0.5], [0.5, 0.0]])
-
-    def test_potential_length_checked(self):
-        with pytest.raises(DimensionMismatchError):
-            Coupling(2, 2, rows=[0], cols=[0], masses=[1.0], source_potentials=[0.0])
-
-
 class TestMultiPlan:
     def make_plan(self) -> tuple[MultiPlan, list[DiscreteMeasure]]:
         mus = [
@@ -152,6 +141,15 @@ class TestMultiPlan:
     def test_valid_plan_passes(self):
         plan, mus = self.make_plan()
         validate_multiplan(plan, mus)
+
+    def test_dense_round_trip(self):
+        pair = MultiPlan(2, (2, 2), indices=[[0, 1], [1, 0]], masses=[0.5, 0.5])
+        assert np.array_equal(pair.as_dense(), [[0.0, 0.5], [0.5, 0.0]])
+        plan, _ = self.make_plan()
+        dense = plan.as_dense()
+        assert dense.shape == (2, 2, 2)
+        assert dense[tuple(plan.indices.T)].tolist() == plan.masses.tolist()
+        assert dense.sum() == 1.0
 
     def test_marginal_projection(self):
         plan, mus = self.make_plan()

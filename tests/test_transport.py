@@ -100,7 +100,8 @@ class TestPairwise:
         mu = random_measure(rng, 4, 2, uniform=False)
         nu = random_measure(rng, 3, 2, uniform=False)
         res = solve_pairwise(mu, nu, 2.0)
-        dense = res.coupling.as_dense()
+        validate_multiplan(res.plan, [mu, nu])
+        dense = res.plan.as_dense()
         assert np.allclose(dense.sum(axis=1), mu.weights, atol=1e-10)
         assert np.allclose(dense.sum(axis=0), nu.weights, atol=1e-10)
 
@@ -109,14 +110,15 @@ class TestPairwise:
         mu = random_measure(rng, 5, 2, uniform=False)
         nu = random_measure(rng, 4, 2, uniform=False)
         res = solve_pairwise(mu, nu, 1.5)
-        psi, phi = res.source_potentials, res.target_potentials
+        validate_multiplan(res.plan, [mu, nu])
+        psi, phi = res.potentials
         pairing = psi @ mu.weights + phi @ nu.weights
         assert pairing == pytest.approx(res.value, rel=1e-9)
         cost = pairwise_cost_matrix(mu.points, nu.points, 1.5)
         slack = cost - psi[:, None] - phi[None, :]
         assert slack.min() > -1e-9
         # complementary slackness on the support
-        dense = res.coupling.as_dense()
+        dense = res.plan.as_dense()
         assert np.abs(slack[dense > 1e-12]).max() < 1e-9
 
     def test_translation_shifts_nothing_but_the_points(self):
@@ -283,11 +285,12 @@ def assert_certified(res) -> None:
 
 
 def assert_pairwise_certified(res, mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
-    psi, phi = res.source_potentials, res.target_potentials
+    validate_multiplan(res.plan, [mu, nu])
+    psi, phi = res.potentials
     assert psi @ mu.weights + phi @ nu.weights == pytest.approx(res.value, rel=1e-9, abs=1e-12)
     slack = pairwise_cost_matrix(mu.points, nu.points, res.p) - psi[:, None] - phi[None, :]
     assert slack.min() > -1e-9
-    assert np.abs(slack[res.coupling.rows, res.coupling.cols]).max() < 1e-9
+    assert np.abs(slack[tuple(res.plan.indices.T)]).max() < 1e-9
 
 
 class TestTransportSimplex:
@@ -356,7 +359,7 @@ class TestTransportSimplex:
         assert [pot[-1] for pot in res.potentials[1:]] == [0.0] * (n_marginals - 1)
         assert_certified(res)
         pair = solve_pairwise(mus[0], mus[1], 2.0)
-        assert pair.target_potentials[-1] == 0.0
+        assert pair.potentials[1][-1] == 0.0
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_identical_uniform_supports_terminate(self, p):
