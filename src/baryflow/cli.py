@@ -42,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Multi-marginal transport, barycenters, and particle flows.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # Options of every subcommand that reads measures (--tol differs in meaning, so it stays per command).
+    # Options of every subcommand that reads measures.
     instance = argparse.ArgumentParser(add_help=False)
     instance.add_argument("measures", nargs="+", type=Path, help="measure files")
     instance.add_argument("--p", type=float, default=2.0, help="cost exponent (> 1)")
@@ -62,18 +62,10 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", type=Path, default=Path("."), help="output directory")
 
     solve = sub.add_parser("solve", parents=[instance], help="solve the multi-marginal problem for JSON measures")
-    solve.add_argument(
-        "--tol", type=float, default=1e-10,
-        help="stationarity tolerance of the inner barycenter solver",
-    )
     solve.add_argument("--out", type=Path, default=None, help="also write barycenter.json and result.json here")
 
     flow = sub.add_parser("flow", parents=[instance], help="export particle-flow and coupling-flow frames")
     flow.add_argument("--frames", type=int, default=5, metavar="k", help="equally spaced frames, k >= 2")
-    flow.add_argument(
-        "--tol", type=float, default=1e-10,
-        help="stationarity tolerance of the inner barycenter solver",
-    )
     flow.add_argument("--out", type=Path, default=Path("."), help="directory for the CSV frames")
 
     verify = sub.add_parser("verify", parents=[instance], help="run the full identity-chain verification")
@@ -120,7 +112,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     measures = _load_all(args.measures)
-    result = solve_mmot(measures, args.p, max_grid=args.max_grid, newton_tol=args.tol)
+    result = solve_mmot(measures, args.p, max_grid=args.max_grid)
     barycenter = extract_barycenter(result)
     payload = {
         "p": args.p,
@@ -145,7 +137,7 @@ def _cmd_flow(args: argparse.Namespace) -> int:
     if args.frames < 2:
         raise BaryflowError(f"--frames must be at least 2, got {args.frames}")
     measures = _load_all(args.measures)
-    result = solve_mmot(measures, args.p, max_grid=args.max_grid, newton_tol=args.tol)
+    result = solve_mmot(measures, args.p, max_grid=args.max_grid)
     flow = build_particle_flow(result)
     times = [i / (args.frames - 1) for i in range(args.frames)]
     args.out.mkdir(parents=True, exist_ok=True)

@@ -8,9 +8,9 @@ condition ``sum_i grad |.|^p (x_i - z) = 0``.
 
 For ``p = 2`` the minimizer is the arithmetic mean.  Otherwise a damped
 Newton iteration on ``z`` is used, with a batched pinned-point finish for
-minimizers that sit on a data point: it is tried once early in the loop,
-where it finishes the rows that meet the tolerance, and once more on the
-rows left when the iteration budget runs out.  Everything is vectorized
+minimizers that sit on a data point: it is tried on the rows still
+active at one early iteration and at the last one, and finishes the rows
+it brings within the tolerance.  Everything is vectorized
 over batches of tuples because the transport layer needs barycenters for
 every point of a product grid.
 """
@@ -38,8 +38,8 @@ __all__ = [
     "batch_barycenters",
 ]
 
-# Default residual tolerance: the stationarity gradient must drop below
-# tol * (1 + sum_i r_i^(p-1)), the natural scale of the gradient terms.
+# Residual tolerance: the stationarity gradient must drop below
+# DEFAULT_TOL * (1 + sum_i r_i^(p-1)), the natural scale of the gradient terms.
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200
 # For p < 2 the Hessian blows up near data points; radii below this are
@@ -182,14 +182,14 @@ def _gradient_state(points: np.ndarray, z: np.ndarray, p: float):
     return resid, _norm(resid), scale, r, diff
 
 
-def _met(norm: np.ndarray, scale: np.ndarray, tol: float) -> np.ndarray:
-    """Rows whose residual norm is within ``tol * scale``, at finite radii.
+def _met(norm: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Rows whose residual norm is within ``DEFAULT_TOL * scale``, at finite radii.
 
     A radius that overflows makes the scale infinite and the residual
     read zero, which would pass the test; the scale is finite exactly
     when every radius is.
     """
-    return (norm <= tol * scale) & np.isfinite(scale)
+    return (norm <= DEFAULT_TOL * scale) & np.isfinite(scale)
 
 
 def _start_state(points: np.ndarray, p: float):
@@ -213,12 +213,7 @@ def _start_state(points: np.ndarray, p: float):
     return z, state, value
 
 
-def batch_barycenters(
-    points: object,
-    p: float,
-    *,
-    tol: float = DEFAULT_TOL,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def batch_barycenters(points: object, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Barycenters for a batch of point tuples.
 
     Parameters
@@ -227,8 +222,6 @@ def batch_barycenters(
         ``m`` tuples of ``N`` points each.
     p : float
         Cost exponent, strictly greater than one.
-    tol : float
-        Stationarity tolerance, relative to ``1 + sum_i r_i^(p-1)``.
 
     Returns
     -------
@@ -238,8 +231,8 @@ def batch_barycenters(
     Raises
     ------
     ConvergenceError
-        If some tuple misses ``tol`` after ``DEFAULT_MAX_ITER`` Newton
-        iterations and the pinned-point finish.
+        If some tuple misses ``DEFAULT_TOL`` after ``DEFAULT_MAX_ITER``
+        Newton iterations and the pinned-point finish.
     NonFiniteCoordinateError
         If the cost or its gradient overflows at the mean of some tuple:
         distances above about 1e154, or lower ones for p > 2.
@@ -267,28 +260,33 @@ def batch_barycenters(
     # state is.
     idx = np.arange(m)
     x = pts
-    for it in range(DEFAULT_MAX_ITER):
+    for it in range(DEFAULT_MAX_ITER + 1):
         resid, resid_norm, scale, r, diff = state
-        finished = _met(resid_norm, scale, tol)
+        finished = _met(resid_norm, scale)
         if finished.any():
             rows = idx[finished]
             values[rows] = _sum_axis1(r[finished] ** p)
             grad_norms[rows] = resid_norm[finished]
-        if it == _PINNED_AFTER and not finished.all():
-            # The early pinned-point finish: a row stops here only if its
-            # polished point meets tol; every other row goes on from its
-            # own iterate and state.
+        if it in (_PINNED_AFTER, DEFAULT_MAX_ITER) and not finished.all():
+            # The pinned-point finish: a row stops here only if its
+            # polished point meets the tolerance; every other row goes on
+            # from its own iterate and state, unless the budget is spent.
             live = np.flatnonzero(~finished)
             z_p, norm_p, scale_p, r_p = _pinned_polish(
-                x[live], z[idx[live]], tuple(part[live] for part in state), p, tol
+                x[live], z[idx[live]], tuple(part[live] for part in state), p
             )
-            early = _met(norm_p, scale_p, tol)
+            early = _met(norm_p, scale_p)
             if early.any():
                 rows = idx[live[early]]
                 z[rows] = z_p[early]
                 values[rows] = _sum_axis1(r_p[early] ** p)
                 grad_norms[rows] = norm_p[early]
                 finished[live[early]] = True
+            if it == DEFAULT_MAX_ITER and not early.all():
+                raise ConvergenceError(
+                    f"{int((~early).sum())} of {m} barycenters unconverged after "
+                    f"{DEFAULT_MAX_ITER} iterations (worst residual {norm_p[~early].max():.3e})"
+                )
         if finished.any():
             keep = ~finished
             idx, x = idx[keep], x[keep]
@@ -349,24 +347,11 @@ def batch_barycenters(
                 for part, fresh in zip(state, _gradient_state(x_s, z_s, p)):
                     part[rows] = fresh
         z[idx] = z_try
-
-    if idx.size:
-        # The rows left are tried once more by the pinned-point finish,
-        # which hands back each row's better point and its state there.
-        z[idx], resid_norm, scale, r = _pinned_polish(x, z[idx], state, p, tol)
-        late = _met(resid_norm, scale, tol)
-        if not late.all():
-            raise ConvergenceError(
-                f"{int((~late).sum())} of {m} barycenters unconverged after "
-                f"{DEFAULT_MAX_ITER} iterations (worst residual {resid_norm[~late].max():.3e})"
-            )
-        values[idx] = _sum_axis1(r**p)
-        grad_norms[idx] = resid_norm
     return z, values, grad_norms
 
 
 def _pinned_polish(
-    points: np.ndarray, z0: np.ndarray, state: tuple, p: float, tol: float
+    points: np.ndarray, z0: np.ndarray, state: tuple, p: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Refine minimizers pinned near one data point, batched over rows.
 
@@ -378,14 +363,16 @@ def _pinned_polish(
     atom, opposite the rest gradient ``g``.  Iterating this balance
     contracts much faster than Newton in the pinned regime.  It runs for
     at most ``_POLISH_STEPS`` steps, and a row stops as soon as it meets
-    ``tol``.  A row keeps the polished point only if its radii are finite
-    and it lowers the residual of its ``state`` at ``z0``, so the step is
-    safe everywhere else.  Returns the kept points and the residual norm,
-    scale and radii there.
+    ``DEFAULT_TOL``.  Away from a pinned minimizer the steps can run off
+    to infinity (their length overflows for p near 1); a row keeps the
+    polished point only if its radii are finite and it lowers the
+    residual of its ``state`` at ``z0``, so the step is safe everywhere
+    else, and its overflows are not reported.  Returns the kept points
+    and the residual norm, scale and radii there.
 
-    :func:`batch_barycenters` calls it twice at most: once at Newton
-    iteration ``_PINNED_AFTER`` on the rows still active, keeping only
-    the rows it brings within ``tol``, and once after the last iteration.
+    :func:`batch_barycenters` calls it on the rows still active at Newton
+    iterations ``_PINNED_AFTER`` and ``DEFAULT_MAX_ITER``, keeping only
+    the rows it brings within ``DEFAULT_TOL``.
     """
     _, start_norm, start_scale, start_r, _ = state
     rows = np.arange(len(points))
@@ -395,20 +382,21 @@ def _pinned_polish(
     others[rows, nearest] = False
     z, norm, scale, r = z0.copy(), start_norm.copy(), start_scale.copy(), start_r.copy()
     todo = rows
-    for _ in range(_POLISH_STEPS):
-        if todo.size == 0:
-            break
-        diff = points[todo] - z[todo][:, None, :]
-        radii = _norm(diff)
-        safe = np.where(radii > 0.0, radii, 1.0)
-        coeff = np.where(others[todo] & (radii > 0.0), p * safe ** (p - 2.0), 0.0)
-        g = -_sum_axis1(coeff[:, :, None] * diff)
-        # a zero rest gradient leaves the point on its atom
-        gn = _norm(g)
-        gn = np.where(gn > 0.0, gn, 1.0)
-        z[todo] = anchors[todo] - ((gn / p) ** (1.0 / (p - 1.0)))[:, None] * (g / gn[:, None])
-        _, norm[todo], scale[todo], r[todo], _ = _gradient_state(points[todo], z[todo], p)
-        todo = todo[norm[todo] > tol * scale[todo]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_POLISH_STEPS):
+            if todo.size == 0:
+                break
+            diff = points[todo] - z[todo][:, None, :]
+            radii = _norm(diff)
+            safe = np.where(radii > 0.0, radii, 1.0)
+            coeff = np.where(others[todo] & (radii > 0.0), p * safe ** (p - 2.0), 0.0)
+            g = -_sum_axis1(coeff[:, :, None] * diff)
+            # a zero rest gradient leaves the point on its atom
+            gn = _norm(g)
+            gn = np.where(gn > 0.0, gn, 1.0)
+            z[todo] = anchors[todo] - ((gn / p) ** (1.0 / (p - 1.0)))[:, None] * (g / gn[:, None])
+            _, norm[todo], scale[todo], r[todo], _ = _gradient_state(points[todo], z[todo], p)
+            todo = todo[norm[todo] > DEFAULT_TOL * scale[todo]]
     better = (norm < start_norm) & np.isfinite(scale)
     return (
         np.where(better[:, None], z, z0),

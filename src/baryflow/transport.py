@@ -36,7 +36,7 @@ from .exceptions import (
     NonFiniteCoordinateError,
     ProductGridError,
 )
-from .infconv import DEFAULT_TOL, _balance_residual, batch_barycenters, check_exponent
+from .infconv import _balance_residual, batch_barycenters, check_exponent
 from .infconv import _dual_lower_bound, _objective
 from .measures import (
     DiscreteMeasure,
@@ -399,7 +399,6 @@ def solve_mmot(
     p: float,
     *,
     max_grid: int = MAX_GRID,
-    newton_tol: float = DEFAULT_TOL,
 ) -> MmotResult:
     """Solve the barycentric multi-marginal transport problem exactly.
 
@@ -413,7 +412,7 @@ def solve_mmot(
     ProductGridError
         If the product of support sizes exceeds ``max_grid``.
     ConvergenceError
-        If the barycenter of some grid tuple misses ``newton_tol``.
+        If the barycenter of some grid tuple misses the Newton tolerance.
     CycleLimitError
         If the transport simplex runs out of pivots or its basis
         degenerates numerically.
@@ -437,7 +436,7 @@ def solve_mmot(
         )
     indices = np.indices(sizes).reshape(len(sizes), total).T
     try:
-        barycenters, costs, _ = batch_barycenters(_tuple_points(mus, indices), p, tol=newton_tol)
+        barycenters, costs, _ = batch_barycenters(_tuple_points(mus, indices), p)
     except ConvergenceError as exc:
         raise ConvergenceError(f"tuple grid {'x'.join(map(str, sizes))}: {exc}") from exc
     support, masses, value, potentials = _transport_simplex(

@@ -251,12 +251,13 @@ class TestMmot:
             solve_mmot(mus, 2.0, max_grid=63)
         solve_mmot(mus, 2.0, max_grid=64)
 
-    def test_unconverged_tuple_grid_named_in_error(self):
+    def test_unconverged_tuple_grid_named_in_error(self, monkeypatch):
         # a zero Newton tolerance cannot be met on spread-out tuples
+        monkeypatch.setattr(infconv, "DEFAULT_TOL", 0.0)
         rng = np.random.default_rng(19)
         mus = [random_measure(rng, 2, 2), random_measure(rng, 3, 2)]
         with pytest.raises(ConvergenceError, match=r"^tuple grid 2x3: \d+ of 6 barycenters unconverged"):
-            solve_mmot(mus, 1.5, newton_tol=0.0)
+            solve_mmot(mus, 1.5)
 
     def test_single_marginal_rejected(self):
         rng = np.random.default_rng(16)
