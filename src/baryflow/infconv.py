@@ -299,7 +299,8 @@ def batch_barycenters(points: object, p: float) -> tuple[np.ndarray, np.ndarray,
         # Newton step on the remaining rows.  The Hessian of the
         # objective is p sum_i r^(p-2) (I + (p-2) u u^T) with u the unit
         # displacement, positive definite for every p > 1; radii are
-        # floored for p < 2 to keep it bounded.
+        # floored for p < 2 to keep it bounded.  The regularization is
+        # 1e-12 of the trace, so it follows the curvature at every scale.
         r_h = np.maximum(r, _PROXIMITY) if p < 2.0 else r
         safe = np.where(r_h > 0.0, r_h, 1.0)
         iso = np.where(r_h > 0.0, p * safe ** (p - 2.0), 0.0)
@@ -309,7 +310,7 @@ def batch_barycenters(points: object, p: float) -> tuple[np.ndarray, np.ndarray,
         terms *= iso[:, :, None, None]
         hess = _sum_axis1(terms)
         trace = np.trace(hess, axis1=1, axis2=2)
-        hess += (1e-12 * (1.0 + trace))[:, None, None] * eye
+        hess += (1e-12 * trace)[:, None, None] * eye
         step = np.linalg.solve(hess, resid[:, :, None])[:, :, 0]
         descent = _sum_axis1(resid * step)
 
