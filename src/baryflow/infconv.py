@@ -10,9 +10,9 @@ For ``p = 2`` the minimizer is the arithmetic mean.  Otherwise a damped
 Newton iteration on ``z`` is used, with a batched pinned-point finish for
 minimizers that sit on a data point: it is tried on the rows still
 active at one early iteration and at the last one, and finishes the rows
-it brings within the tolerance.  Everything is vectorized
-over batches of tuples because the transport layer needs barycenters for
-every point of a product grid.
+it brings within the tolerance.  Everything is vectorized over batches
+of tuples because the transport layer needs barycenters for every point
+of a product grid.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ __all__ = [
 ]
 
 # Residual tolerance: the stationarity gradient must drop below
-# DEFAULT_TOL * (1 + sum_i r_i^(p-1)), the natural scale of the gradient terms.
+# DEFAULT_TOL * (1 + sum_i r_i^(p-1)), the natural scale of the gradient
+# terms.
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200
 # For p < 2 the Hessian blows up near data points; radii below this are
@@ -275,17 +276,17 @@ def batch_barycenters(points: object, p: float) -> tuple[np.ndarray, np.ndarray,
             z_p, norm_p, scale_p, r_p = _pinned_polish(
                 x[live], z[idx[live]], tuple(part[live] for part in state), p
             )
-            early = _met(norm_p, scale_p)
-            if early.any():
-                rows = idx[live[early]]
-                z[rows] = z_p[early]
-                values[rows] = _sum_axis1(r_p[early] ** p)
-                grad_norms[rows] = norm_p[early]
-                finished[live[early]] = True
-            if it == DEFAULT_MAX_ITER and not early.all():
+            polished = _met(norm_p, scale_p)
+            if polished.any():
+                rows = idx[live[polished]]
+                z[rows] = z_p[polished]
+                values[rows] = _sum_axis1(r_p[polished] ** p)
+                grad_norms[rows] = norm_p[polished]
+                finished[live[polished]] = True
+            if it == DEFAULT_MAX_ITER and not polished.all():
                 raise ConvergenceError(
-                    f"{int((~early).sum())} of {m} barycenters unconverged after "
-                    f"{DEFAULT_MAX_ITER} iterations (worst residual {norm_p[~early].max():.3e})"
+                    f"{int((~polished).sum())} of {m} barycenters unconverged after "
+                    f"{DEFAULT_MAX_ITER} iterations (worst residual {norm_p[~polished].max():.3e})"
                 )
         if finished.any():
             keep = ~finished

@@ -357,7 +357,7 @@ def solve_pairwise(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> Pairwi
     cost = pairwise_cost_matrix(mu.points, nu.points, p)
     support, masses, value, potentials = _transport_simplex(cost, [mu.weights, nu.weights])
     plan = MultiPlan(2, sizes, np.column_stack(np.unravel_index(support, sizes)), masses)
-    return PairwiseResult(plan=plan, value=value, potentials=tuple(potentials), p=p)
+    return PairwiseResult(plan=plan, value=value, potentials=potentials, p=p)
 
 
 def wb_value(nu: DiscreteMeasure, marginals: list[DiscreteMeasure] | tuple[DiscreteMeasure, ...], p: float) -> float:
