@@ -158,11 +158,16 @@ def _dual_lower_bound(points: np.ndarray, z: np.ndarray, p: float) -> np.ndarray
     displacements ``x_i - z`` keeps the sum from cancelling at large
     coordinates, and splitting the power as ``t t^(1/(p-1))``, ``t = |y|/p``,
     makes the rounded exponent cost p times fewer ulps (about ``|ln r|``).
+    Each ``|y_i|`` is taken after dividing ``y_i`` by the power of two of
+    its largest component, so its squares cannot underflow (at ``|y|``
+    below about 1e-154 the norm would read 0 and ``L`` exceed the cost p
+    times) or overflow; elsewhere that scaling is exact and changes no bit.
     """
     diff = points - z[:, None, :]
     y = power_cost_gradient(diff, p)
     y -= y.mean(axis=1, keepdims=True)
-    t = _norm(y) / p
+    _, exponent = np.frexp(np.abs(y).max(axis=2))
+    t = np.ldexp(_norm(np.ldexp(y, -exponent[..., None])), exponent) / p
     conjugate = (p - 1.0) * t * t ** (1.0 / (p - 1.0))
     return _sum_axis1((y * diff).sum(axis=2) - conjugate)
 
@@ -214,7 +219,9 @@ def _start_state(points: np.ndarray, p: float):
     return z, state, value
 
 
-def batch_barycenters(points: object, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def batch_barycenters(
+    points: object, p: float, *, _start: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Barycenters for a batch of point tuples.
 
     Parameters
@@ -250,6 +257,49 @@ def batch_barycenters(points: object, p: float) -> tuple[np.ndarray, np.ndarray,
 
     values = np.zeros(m)
     grad_norms = np.zeros(m)
+    rows = np.arange(m)
+    if _start is not None:
+        # A start point per row (private; the translated re-solve passes
+        # the first solve's meeting points).  The rows it settles by the
+        # first pinned-point finish keep their point; every other row is
+        # solved from its tuple mean below, and since rows are computed
+        # independently, it gets the bits it would get without a start.
+        z_start = np.array(_start, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            start = _gradient_state(pts, z_start, p)
+        finite = np.isfinite(start[1]) & np.isfinite(start[2])
+        unsettled, _ = _newton(pts, z_start, start, p, rows[finite], _PINNED_AFTER, values, grad_norms)
+        settled = np.ones(m, dtype=bool)
+        settled[unsettled] = settled[~finite] = False
+        z[settled] = z_start[settled]
+        rows = rows[~settled]
+    unconverged, residuals = _newton(pts, z, state, p, rows, DEFAULT_MAX_ITER, values, grad_norms)
+    if unconverged.size:
+        raise ConvergenceError(
+            f"{unconverged.size} of {m} barycenters unconverged after "
+            f"{DEFAULT_MAX_ITER} iterations (worst residual {residuals.max():.3e})"
+        )
+    return z, values, grad_norms
+
+
+def _newton(
+    pts: np.ndarray,
+    z: np.ndarray,
+    state: tuple,
+    p: float,
+    idx: np.ndarray,
+    stop: int,
+    values: np.ndarray,
+    grad_norms: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Damped Newton with the pinned-point finish on the rows ``idx`` of a batch.
+
+    ``state`` is the batch's gradient state at ``z``.  A row that meets
+    the tolerance has its point, value and residual norm written into
+    ``z``, ``values`` and ``grad_norms``.  The pinned-point finish is
+    tried at iterations ``_PINNED_AFTER`` and ``stop``, after which the
+    rows still unfinished are returned with their residual norms.
+    """
     eye = np.eye(pts.shape[2])
 
     # One gradient state is evaluated per iteration: the state at the
@@ -259,16 +309,16 @@ def batch_barycenters(points: object, p: float) -> tuple[np.ndarray, np.ndarray,
     # evaluating each iterate from scratch.  Trial points whose radii
     # overflow are never taken, so every state is finite once the start
     # state is.
-    idx = np.arange(m)
-    x = pts
-    for it in range(DEFAULT_MAX_ITER + 1):
+    x = pts[idx]
+    state = tuple(part[idx] for part in state)
+    for it in range(stop + 1):
         resid, resid_norm, scale, r, diff = state
         finished = _met(resid_norm, scale)
         if finished.any():
-            rows = idx[finished]
-            values[rows] = _sum_axis1(r[finished] ** p)
-            grad_norms[rows] = resid_norm[finished]
-        if it in (_PINNED_AFTER, DEFAULT_MAX_ITER) and not finished.all():
+            done = idx[finished]
+            values[done] = _sum_axis1(r[finished] ** p)
+            grad_norms[done] = resid_norm[finished]
+        if it in (_PINNED_AFTER, stop) and not finished.all():
             # The pinned-point finish: a row stops here only if its
             # polished point meets the tolerance; every other row goes on
             # from its own iterate and state, unless the budget is spent.
@@ -278,16 +328,13 @@ def batch_barycenters(points: object, p: float) -> tuple[np.ndarray, np.ndarray,
             )
             polished = _met(norm_p, scale_p)
             if polished.any():
-                rows = idx[live[polished]]
-                z[rows] = z_p[polished]
-                values[rows] = _sum_axis1(r_p[polished] ** p)
-                grad_norms[rows] = norm_p[polished]
+                done = idx[live[polished]]
+                z[done] = z_p[polished]
+                values[done] = _sum_axis1(r_p[polished] ** p)
+                grad_norms[done] = norm_p[polished]
                 finished[live[polished]] = True
-            if it == DEFAULT_MAX_ITER and not polished.all():
-                raise ConvergenceError(
-                    f"{int((~polished).sum())} of {m} barycenters unconverged after "
-                    f"{DEFAULT_MAX_ITER} iterations (worst residual {norm_p[~polished].max():.3e})"
-                )
+            if it == stop:
+                return idx[live[~polished]], norm_p[~polished]
         if finished.any():
             keep = ~finished
             idx, x = idx[keep], x[keep]
@@ -349,7 +396,7 @@ def batch_barycenters(points: object, p: float) -> tuple[np.ndarray, np.ndarray,
                 for part, fresh in zip(state, _gradient_state(x_s, z_s, p)):
                     part[rows] = fresh
         z[idx] = z_try
-    return z, values, grad_norms
+    return idx, np.zeros(0)
 
 
 def _pinned_polish(

@@ -25,7 +25,7 @@ with plain numpy (a revised simplex with a product-form inverse).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -132,11 +132,16 @@ class MmotResult:
     potentials: tuple[np.ndarray, ...]
     marginals: tuple[DiscreteMeasure, ...]
     p: float
+    # The simplex's final basis, zero-mass basic tuples included: a
+    # feasible start for any problem with the same weights.
+    _basis: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "grid_barycenters", _freeze(self.grid_barycenters, float))
         object.__setattr__(self, "potentials", tuple(_freeze(pot, float) for pot in self.potentials))
         object.__setattr__(self, "marginals", tuple(self.marginals))
+        if self._basis is not None:
+            object.__setattr__(self, "_basis", _freeze(self._basis))
 
     @property
     def tuple_barycenters(self) -> np.ndarray:
@@ -188,8 +193,8 @@ def _northwest_corner(weights: list[np.ndarray]) -> np.ndarray:
 
 
 def _transport_simplex(
-    costs: np.ndarray, weights: list[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, float, list[np.ndarray]]:
+    costs: np.ndarray, weights: list[np.ndarray], start: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, float, list[np.ndarray], np.ndarray]:
     """Optimal vertex of ``min <costs, x>`` over couplings of ``weights``.
 
     ``costs`` holds one entry per index tuple, shape ``(n_1, ..., n_N)``.
@@ -204,9 +209,17 @@ def _transport_simplex(
     and Harris's two-pass ratio test the leaving row; after
     ``3 * (rows + cols)`` pivots Bland's rule takes over both choices.
 
+    ``start`` is an optional starting basis, R flat tuple indices.  It is
+    used only if its basis matrix is nonsingular and no basic mass lies
+    below ``-_HARRIS_TOL``; otherwise the north-west staircase is.  A
+    start changes only the path: the optimum is still proven by pricing
+    every tuple on a fresh inverse.
+
     Returns the ascending C-order flat indices of the tuples with mass
-    above ``MASS_CUTOFF``, their masses, the optimal value and one
-    potential vector per marginal.  Raises ``NonFiniteCoordinateError``
+    above ``MASS_CUTOFF``, their masses, the optimal value, one potential
+    vector per marginal and the final basis (all R basic tuples, zero
+    masses included, in the order that reproduces this inverse when
+    passed back as ``start``).  Raises ``NonFiniteCoordinateError``
     on non-finite costs and ``CycleLimitError`` when the pivot budget
     runs out, the basis degenerates numerically or a basic mass at the
     optimum lies more than ``_MASS_DIP_LIMIT`` below zero (masses in
@@ -244,9 +257,21 @@ def _transport_simplex(
             ) from None
         return out
 
-    basis = np.ravel_multi_index(_northwest_corner(weights).T, sizes)
     pivots = 0
-    inverse, updates = inverse_of(basis), 0
+    basis = None
+    if start is not None:
+        basis = np.array(start)
+        try:
+            inverse = inverse_of(basis)
+        except CycleLimitError:
+            basis = None
+        else:
+            if (inverse[:, :n_rows] @ b).min() < -_HARRIS_TOL:
+                basis = None
+    if basis is None:
+        basis = np.ravel_multi_index(_northwest_corner(weights).T, sizes)
+        inverse = inverse_of(basis)
+    updates = 0
     duals = np.zeros(n_rows + 1)
     # Summed potentials over the leading k + 1 grid axes, k = 1..N-1; the
     # last buffer is the whole grid and ends up holding the reduced costs.
@@ -323,9 +348,9 @@ def _transport_simplex(
             f"after {pivots} pivots; data is ill-conditioned"
         )
     order = np.argsort(basis)
-    basis, masses = basis[order], np.maximum(x_basic[order], 0.0)
+    support, masses = basis[order], np.maximum(x_basic[order], 0.0)
     keep = masses > MASS_CUTOFF
-    return basis[keep], masses[keep], float(flat_costs[basis] @ masses), potentials
+    return support[keep], masses[keep], float(flat_costs[support] @ masses), potentials, basis
 
 
 def pairwise_cost_matrix(source_points: np.ndarray, target_points: np.ndarray, p: float) -> np.ndarray:
@@ -343,7 +368,37 @@ def pairwise_cost_matrix(source_points: np.ndarray, target_points: np.ndarray, p
     return np.linalg.norm(diff, axis=2) ** p
 
 
-def solve_pairwise(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> PairwiseResult:
+def _spanning_tree(cost: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """A spanning tree of the bipartite atom graph, as flat indices of ``cost``.
+
+    Takes the atom pairs ``edges`` (shape (k, 2)) in their order, then
+    the cheapest remaining pairs, skipping any pair that would close a
+    cycle (Kruskal).  A tree of ``m + n - 1`` pairs is a transport basis.
+    """
+    m, n = cost.shape
+    parent = list(range(m + n))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    tree: list[int] = []
+    candidates = np.concatenate([np.ravel_multi_index(edges.T, (m, n)), np.argsort(cost, axis=None, kind="stable")])
+    for flat in candidates.tolist():
+        a, b = find(flat // n), find(m + flat % n)
+        if a != b:
+            parent[a] = b
+            tree.append(flat)
+            if len(tree) == m + n - 1:
+                break
+    return np.array(tree)
+
+
+def solve_pairwise(
+    mu: DiscreteMeasure, nu: DiscreteMeasure, p: float, *, _start: np.ndarray | None = None
+) -> PairwiseResult:
     """Exact ``W_p^p`` between two discrete measures, with potentials.
 
     The transportation LP has one variable per atom pair and one
@@ -355,14 +410,45 @@ def solve_pairwise(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float) -> Pairwi
     p = check_exponent(p)
     sizes = (len(mu), len(nu))
     cost = pairwise_cost_matrix(mu.points, nu.points, p)
-    support, masses, value, potentials = _transport_simplex(cost, [mu.weights, nu.weights])
+    # A private start (atom pairs, heaviest first) is completed to a basis.
+    start = None if _start is None else _spanning_tree(cost, _start)
+    support, masses, value, potentials, _ = _transport_simplex(cost, [mu.weights, nu.weights], start)
     plan = MultiPlan(2, sizes, np.column_stack(np.unravel_index(support, sizes)), masses)
     return PairwiseResult(plan=plan, value=value, potentials=potentials, p=p)
 
 
-def wb_value(nu: DiscreteMeasure, marginals: list[DiscreteMeasure] | tuple[DiscreteMeasure, ...], p: float) -> float:
+def wb_value(
+    nu: DiscreteMeasure,
+    marginals: list[DiscreteMeasure] | tuple[DiscreteMeasure, ...],
+    p: float,
+    *,
+    _plan: MmotResult | None = None,
+) -> float:
     """Barycenter functional ``sum_i W_p^p(nu, mu_i)`` at the measure ``nu``."""
-    return float(sum(solve_pairwise(nu, mu, p).value for mu in marginals))
+    starts = [None] * len(marginals) if _plan is None else _projected_pairs(_plan, nu)
+    return float(sum(solve_pairwise(nu, mu, p, _start=pairs).value for mu, pairs in zip(marginals, starts)))
+
+
+def _projected_pairs(result: MmotResult, nu: DiscreteMeasure) -> list[np.ndarray]:
+    """Support of the plan projected onto (atom of ``nu``, atom of mu_i).
+
+    ``nu`` is the barycenter extracted from ``result``; each plan tuple
+    goes to the atom nearest its meeting point.  The projection is an
+    optimal coupling of ``nu`` and each marginal.  One array of atom
+    pairs per marginal, heaviest first, so a tree built from them keeps
+    the mass of the projection where a cycle forces a pair out.
+    """
+    points = result.tuple_barycenters
+    gap = points[:, None, :] - nu.points[None, :, :]
+    atoms = (gap * gap).sum(axis=2).argmin(axis=1)
+    out = []
+    for k in range(result.plan.n_marginals):
+        flat = atoms * len(result.marginals[k]) + result.plan.indices[:, k]
+        pairs, where = np.unique(flat, return_inverse=True)
+        mass = np.bincount(where, weights=result.plan.masses)
+        pairs = pairs[np.argsort(-mass, kind="stable")]
+        out.append(np.column_stack(np.divmod(pairs, len(result.marginals[k]))))
+    return out
 
 
 def c_transform(
@@ -399,13 +485,16 @@ def solve_mmot(
     p: float,
     *,
     max_grid: int = MAX_GRID,
+    _start: tuple[np.ndarray, np.ndarray | None] | None = None,
 ) -> MmotResult:
     """Solve the barycentric multi-marginal transport problem exactly.
 
     One LP variable per tuple of the product grid, one constraint per
     marginal atom; the last constraint of every marginal but the first
     is redundant and dropped, so those potentials are zero at the last
-    atom.  Costs are the per-tuple infimal-convolution values.
+    atom.  Costs are the per-tuple infimal-convolution values.  A private
+    ``_start`` of grid meeting points and a basis (from a solve with the
+    same weights) starts Newton and the simplex; it changes only the path.
 
     Raises
     ------
@@ -435,12 +524,13 @@ def solve_mmot(
             "raise max_grid explicitly if this size is intended"
         )
     indices = np.indices(sizes).reshape(len(sizes), total).T
+    start_points, start_basis = (None, None) if _start is None else _start
     try:
-        barycenters, costs, _ = batch_barycenters(_tuple_points(mus, indices), p)
+        barycenters, costs, _ = batch_barycenters(_tuple_points(mus, indices), p, _start=start_points)
     except ConvergenceError as exc:
         raise ConvergenceError(f"tuple grid {'x'.join(map(str, sizes))}: {exc}") from exc
-    support, masses, value, potentials = _transport_simplex(
-        costs.reshape(sizes), [mu.weights for mu in mus]
+    support, masses, value, potentials, final_basis = _transport_simplex(
+        costs.reshape(sizes), [mu.weights for mu in mus], start_basis
     )
     plan = MultiPlan(
         n_marginals=len(mus),
@@ -455,6 +545,7 @@ def solve_mmot(
         potentials=potentials,
         marginals=mus,
         p=p,
+        _basis=final_basis,
     )
 
 

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from baryflow import (
@@ -305,6 +305,35 @@ class TestBatch:
         assert grad.max() < 1e-8
 
 
+class TestWarmStart:
+    @pytest.mark.parametrize("p, offset", [(1.2, 1e6), (3.0, 1e6), (1.5, 1e160)])
+    def test_unsettled_rows_repeat_the_cold_bits(self, monkeypatch, p, offset):
+        # rows started at their cold answer settle at once, with its bits;
+        # far-off rows that are not settled by _PINNED_AFTER (at 1e160 the
+        # start state overflows) are solved again from the tuple mean and
+        # get the cold bits too
+        pts = np.random.default_rng(8).uniform(size=(60, 3, 2))
+        cold = batch_barycenters(pts, p)
+        far = np.arange(0, 60, 3)
+        start = cold[0].copy()
+        start[far] += offset
+        retried = []
+        original = infconv._newton
+
+        def recorded(points, z, state, p, idx, stop, *rest):
+            if stop == infconv.DEFAULT_MAX_ITER:
+                retried.append(idx)
+            return original(points, z, state, p, idx, stop, *rest)
+
+        monkeypatch.setattr(infconv, "_newton", recorded)
+        warm = batch_barycenters(pts, p, _start=start)
+        (rows,) = retried
+        assert rows.size and np.isin(rows, far).all()
+        near = np.setdiff1d(np.arange(60), far)
+        for got, want in zip(warm, cold):
+            assert np.array_equal(got[rows], want[rows]) and np.array_equal(got[near], want[near])
+
+
 @st.composite
 def _tuple_batches(draw):
     """Batches of point tuples, some with coincident or near-coincident atoms."""
@@ -353,6 +382,8 @@ class TestDualLowerBound:
         scale=st.floats(-6.0, 6.0).map(lambda e: 10.0**e),
         offset=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
     )
+    # gradients of about 3e-167 square below the smallest subnormal
+    @example(pts=np.array([[[0.0], [3.12724991e-42]]]), p=5.0, scale=1.0, offset=[0.0, 0.0, 0.0])
     def test_bounds_bracket_the_cost_at_any_witness(self, pts, p, scale, offset):
         # weak duality: L(w) <= cost <= U(w) at every witness w
         pts = scale * pts

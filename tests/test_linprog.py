@@ -16,6 +16,7 @@ import scipy.optimize
 import scipy.sparse
 
 from baryflow import CycleLimitError, NonFiniteCoordinateError, random_marginals, solve_mmot
+from baryflow import transport
 from baryflow.transport import _transport_simplex
 
 
@@ -62,6 +63,19 @@ def dense_plan(flat: np.ndarray, masses: np.ndarray, sizes: tuple[int, ...]) -> 
     return x
 
 
+def counted_staircases(monkeypatch) -> list:
+    """Record every north-west staircase the simplex starts from."""
+    calls = []
+    original = transport._northwest_corner
+
+    def counted(weights):
+        calls.append(len(weights))
+        return original(weights)
+
+    monkeypatch.setattr(transport, "_northwest_corner", counted)
+    return calls
+
+
 def reduced_costs(costs: np.ndarray, potentials: list[np.ndarray]) -> np.ndarray:
     return costs - sum(np.ix_(*potentials))
 
@@ -81,7 +95,7 @@ class TestProblemValidation:
         first = np.full(3, 1 / 3)
         with pytest.raises(CycleLimitError, match=r"basic mass -5\.000e-02 below zero .* 3x4 grid"):
             _transport_simplex(costs, [first, np.array([0.3, 0.3, 0.45, 0.0])])
-        _, masses, _, _ = _transport_simplex(costs, [first, np.array([0.3, 0.3, 0.4 + 1e-12, 0.0])])
+        _, masses, _, _, _ = _transport_simplex(costs, [first, np.array([0.3, 0.3, 0.4 + 1e-12, 0.0])])
         assert masses.min() > 0.0
 
 
@@ -90,7 +104,7 @@ class TestSmallProblems:
         # all-Dirac marginals: one tuple carries the whole unit of mass
         for n_marginals in (2, 3):
             costs = np.full((1,) * n_marginals, 3.0)
-            flat, masses, value, potentials = _transport_simplex(costs, [np.ones(1)] * n_marginals)
+            flat, masses, value, potentials, _ = _transport_simplex(costs, [np.ones(1)] * n_marginals)
             assert flat.tolist() == [0]
             assert masses == pytest.approx([1.0])
             assert value == pytest.approx(3.0)
@@ -100,7 +114,7 @@ class TestSmallProblems:
         # both marginals exhaust at the same north-west-corner step, so the
         # start carries a basic tuple at zero mass
         costs = np.array([[1.0, 3.0], [3.0, 1.0]])
-        flat, masses, value, _ = _transport_simplex(costs, [np.full(2, 0.5), np.full(2, 0.5)])
+        flat, masses, value, _, _ = _transport_simplex(costs, [np.full(2, 0.5), np.full(2, 0.5)])
         assert flat.tolist() == [0, 3]
         assert masses == pytest.approx([0.5, 0.5])
         assert value == pytest.approx(1.0)
@@ -108,7 +122,7 @@ class TestSmallProblems:
     def test_zero_rhs_feasible(self):
         # a zero-weight atom: its row has right-hand side 0 and carries no mass
         costs = np.array([[0.0, 0.0], [2.0, 5.0]])
-        flat, masses, value, potentials = _transport_simplex(
+        flat, masses, value, potentials, _ = _transport_simplex(
             costs, [np.array([0.0, 1.0]), np.array([0.5, 0.5])]
         )
         assert np.unravel_index(flat, costs.shape)[0].tolist() == [1, 1]
@@ -123,7 +137,7 @@ class TestDuals:
         sizes = (3, 4, 2)
         weights = [random_weights(rng, n) for n in sizes]
         costs = rng.uniform(1.0, 2.0, size=sizes)
-        _, _, value, potentials = _transport_simplex(costs, weights)
+        _, _, value, potentials, _ = _transport_simplex(costs, weights)
         assert sum(pot @ w for pot, w in zip(potentials, weights)) == pytest.approx(value, rel=1e-9)
 
     def test_duals_are_feasible(self):
@@ -131,7 +145,7 @@ class TestDuals:
         sizes = (4, 5, 3)
         weights = [random_weights(rng, n) for n in sizes]
         costs = rng.uniform(1.0, 2.0, size=sizes)
-        flat, _, _, potentials = _transport_simplex(costs, weights)
+        flat, _, _, potentials, _ = _transport_simplex(costs, weights)
         reduced = reduced_costs(costs, potentials)
         assert reduced.min() >= -1e-9
         # complementary slackness on the support
@@ -155,7 +169,7 @@ class TestAgainstScipy:
         costs = rng.uniform(0.0, 2.0, size=sizes)
         A, b = marginal_rows(sizes), np.concatenate(weights)
         ref = highs_value(costs, A, b)
-        flat, masses, value, _ = _transport_simplex(costs, weights)
+        flat, masses, value, _, _ = _transport_simplex(costs, weights)
         assert value == pytest.approx(ref, rel=1e-8, abs=1e-10)
         assert np.abs(A @ dense_plan(flat, masses, sizes) - b).max() < 1e-9
 
@@ -169,10 +183,42 @@ class TestAgainstScipy:
         costs = rng.uniform(1.0, 2.0, size=sizes)
         A, b = marginal_rows(sizes), np.concatenate(weights)
         ref = highs_value(costs, np.vstack([A, A[0]]), np.append(b, b[0]))
-        _, _, value, potentials = _transport_simplex(costs, weights)
+        _, _, value, potentials, _ = _transport_simplex(costs, weights)
         assert value == pytest.approx(ref, rel=1e-9)
         assert [len(pot) for pot in potentials] == list(sizes)
         assert [pot[-1] for pot in potentials[1:]] == [0.0, 0.0]
+
+
+class TestStartingBasis:
+    def test_own_final_basis_restarts_at_the_optimum(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        sizes = (4, 5, 3)
+        weights = [random_weights(rng, n) for n in sizes]
+        costs = rng.uniform(0.0, 2.0, size=sizes)
+        cold = _transport_simplex(costs, weights)
+        staircases = counted_staircases(monkeypatch)
+        support, masses, value, potentials, basis = _transport_simplex(costs, weights, cold[4])
+        assert staircases == []
+        assert np.array_equal(support, cold[0]) and np.array_equal(masses, cold[1])
+        assert value == cold[2]
+        assert all(np.array_equal(a, b) for a, b in zip(potentials, cold[3]))
+        assert np.array_equal(basis, cold[4])
+
+    def test_infeasible_or_singular_start_falls_back_to_the_staircase(self, monkeypatch):
+        # the tree {(0,0), (1,0), (1,1)} puts -0.8 on (1,0); a repeated
+        # tuple spans a singular basis.  Either way the solve starts from
+        # the staircase and repeats the cold solve bit for bit.
+        costs = np.array([[0.0, 1.0], [1.0, 0.0]])
+        weights = [np.array([0.9, 0.1]), np.array([0.1, 0.9])]
+        cold = _transport_simplex(costs, weights)
+        assert cold[2] == pytest.approx(0.8)
+        staircases = counted_staircases(monkeypatch)
+        for start in ([0, 2, 3], [0, 0, 3]):
+            support, masses, value, potentials, _ = _transport_simplex(costs, weights, np.array(start))
+            assert np.array_equal(support, cold[0]) and np.array_equal(masses, cold[1])
+            assert value == cold[2]
+            assert all(np.array_equal(a, b) for a, b in zip(potentials, cold[3]))
+        assert len(staircases) == 2
 
 
 class TestCycling:
@@ -184,7 +230,7 @@ class TestCycling:
         weights = [np.full(n, 1.0 / n)] * 2
         costs = rng.integers(0, 3, size=(n, n)).astype(float)
         ref = highs_value(costs, marginal_rows((n, n)), np.concatenate(weights))
-        flat, masses, value, potentials = _transport_simplex(costs, weights)
+        flat, masses, value, potentials, _ = _transport_simplex(costs, weights)
         assert value == pytest.approx(ref, rel=1e-9, abs=1e-12)
         assert reduced_costs(costs, potentials).min() >= -1e-9
         assert masses.sum() == pytest.approx(1.0)

@@ -12,12 +12,15 @@ from baryflow import (
     DiscreteMeasure,
     build_particle_flow,
     continuity_residual,
+    extract_barycenter,
     random_marginals,
     run_verification,
     solve_mmot,
     translation_vector,
+    wb_value,
 )
-from baryflow import flows, transport
+from baryflow import flows, transport, verify
+from baryflow.verify import TRANSLATION_TOL
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +162,30 @@ class TestRunVerification:
         rep = run_verification(random_marginals(48, 3, 4, 2), 1.5)
         assert rep.passed, rep.failing()
         assert sizes.count(4**3) == 2
+
+    @pytest.mark.parametrize("seed", [50, 53])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0])
+    @pytest.mark.parametrize("p", [1.2, 1.5, 3.0])
+    def test_warm_second_solves_agree_with_cold_ones(self, monkeypatch, seed, scale, p):
+        # the functional's pairwise LPs start from the projected plan and
+        # the translated re-solve from the first solve's answer
+        mus = [DiscreteMeasure(scale * mu.points, mu.weights) for mu in random_marginals(seed, 3, 5, 2)]
+        solves = []
+        original = verify.solve_mmot
+
+        def recorded(*args, **kwargs):
+            solves.append(original(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(verify, "solve_mmot", recorded)
+        rep = run_verification(mus, p)
+        assert rep.passed, rep.failing()
+        first, translated = solves
+        cold = wb_value(extract_barycenter(first), mus, p)
+        assert abs(rep.values["barycenter_functional"] - cold) <= 1e-9 * (1.0 + abs(cold))
+        shift = translation_vector(2)
+        shifted = solve_mmot([DiscreteMeasure(mu.points + shift, mu.weights) for mu in mus], p)
+        assert abs(translated.value - shifted.value) <= TRANSLATION_TOL * (1.0 + abs(shifted.value))
 
     def test_impossible_tolerance_fails_the_value_chain(self):
         rep = run_verification(random_marginals(46, 2, 3, 2), 2.0, value_tol=0.0)
