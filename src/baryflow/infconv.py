@@ -254,6 +254,7 @@ def batch_barycenters(
     z, state, start_value = _start_state(pts, p)
     if p == 2.0:
         return z, start_value, state[1]
+    state = list(state)
 
     values = np.zeros(m)
     grad_norms = np.zeros(m)
@@ -267,12 +268,15 @@ def batch_barycenters(
         z_start = np.array(_start, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             start = _gradient_state(pts, z_start, p)
-        finite = np.isfinite(start[1]) & np.isfinite(start[2])
-        unsettled, _ = _newton(pts, z_start, start, p, rows[finite], _PINNED_AFTER, values, grad_norms)
-        settled = np.ones(m, dtype=bool)
-        settled[unsettled] = settled[~finite] = False
+        live = np.flatnonzero(np.isfinite(start[1]) & np.isfinite(start[2]))
+        start = [part[live] for part in start]
+        unsettled, _ = _newton(pts[live], z_start, start, p, live, _PINNED_AFTER, values, grad_norms)
+        settled = np.zeros(m, dtype=bool)
+        settled[live] = True
+        settled[unsettled] = False
         z[settled] = z_start[settled]
-        rows = rows[~settled]
+        rows = np.flatnonzero(~settled)
+        pts, state = pts[rows], [part[rows] for part in state]
     unconverged, residuals = _newton(pts, z, state, p, rows, DEFAULT_MAX_ITER, values, grad_norms)
     if unconverged.size:
         raise ConvergenceError(
@@ -283,9 +287,9 @@ def batch_barycenters(
 
 
 def _newton(
-    pts: np.ndarray,
+    x: np.ndarray,
     z: np.ndarray,
-    state: tuple,
+    state: list,
     p: float,
     idx: np.ndarray,
     stop: int,
@@ -294,13 +298,15 @@ def _newton(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton with the pinned-point finish on the rows ``idx`` of a batch.
 
-    ``state`` is the batch's gradient state at ``z``.  A row that meets
-    the tolerance has its point, value and residual norm written into
-    ``z``, ``values`` and ``grad_norms``.  The pinned-point finish is
-    tried at iterations ``_PINNED_AFTER`` and ``stop``, after which the
-    rows still unfinished are returned with their residual norms.
+    ``x`` holds the points of those rows and ``state`` their gradient
+    state at ``z[idx]``, a list that is overwritten as the rows move, so
+    the caller does not keep the first state alive through the iteration.
+    A row that meets the tolerance has its point, value and residual norm
+    written into ``z``, ``values`` and ``grad_norms``.  The pinned-point
+    finish is tried at iterations ``_PINNED_AFTER`` and ``stop``, after
+    which the rows still unfinished are returned with their residual norms.
     """
-    eye = np.eye(pts.shape[2])
+    eye = np.eye(x.shape[2])
 
     # One gradient state is evaluated per iteration: the state at the
     # trial point is the next iteration's state for the rows that take it,
@@ -309,8 +315,6 @@ def _newton(
     # evaluating each iterate from scratch.  Trial points whose radii
     # overflow are never taken, so every state is finite once the start
     # state is.
-    x = pts[idx]
-    state = tuple(part[idx] for part in state)
     for it in range(stop + 1):
         resid, resid_norm, scale, r, diff = state
         finished = _met(resid_norm, scale)
@@ -338,7 +342,7 @@ def _newton(
         if finished.any():
             keep = ~finished
             idx, x = idx[keep], x[keep]
-            state = tuple(part[keep] for part in state)
+            state[:] = [part[keep] for part in state]
             resid, resid_norm, scale, r, diff = state
         if idx.size == 0:
             break
@@ -367,7 +371,7 @@ def _newton(
         # below float granularity and cannot drive a line search, while
         # the gradient norm keeps a clean signal all the way down.
         z_try = zz + step
-        state = _gradient_state(x, z_try, p)
+        state[:] = _gradient_state(x, z_try, p)
         _, try_norm, try_scale, try_r, _ = state
         search = (try_norm > 0.9 * resid_norm) | ~np.isfinite(try_scale)
         if search.any():
