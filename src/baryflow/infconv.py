@@ -158,16 +158,21 @@ def _dual_lower_bound(points: np.ndarray, z: np.ndarray, p: float) -> np.ndarray
     displacements ``x_i - z`` keeps the sum from cancelling at large
     coordinates, and splitting the power as ``t t^(1/(p-1))``, ``t = |y|/p``,
     makes the rounded exponent cost p times fewer ulps (about ``|ln r|``).
-    Each ``|y_i|`` is taken after dividing ``y_i`` by the power of two of
-    its largest component, so its squares cannot underflow (at ``|y|``
-    below about 1e-154 the norm would read 0 and ``L`` exceed the cost p
-    times) or overflow; elsewhere that scaling is exact and changes no bit.
+    Where ``|y_i|`` is below about 1e-154 or above 1e154 its squares
+    underflow or overflow (a norm read as 0 made ``L`` p times the cost),
+    so there it is taken after dividing ``y_i`` by the power of two of its
+    largest component; that scaling is exact, so elsewhere it would change
+    no bit.
     """
     diff = points - z[:, None, :]
     y = power_cost_gradient(diff, p)
     y -= y.mean(axis=1, keepdims=True)
-    _, exponent = np.frexp(np.abs(y).max(axis=2))
-    t = np.ldexp(_norm(np.ldexp(y, -exponent[..., None])), exponent) / p
+    t = _norm(y)
+    extreme = (t < 2.0**-510) | (t > 2.0**510)
+    if extreme.any():
+        _, exponent = np.frexp(np.abs(y[extreme]).max(axis=1))
+        t[extreme] = np.ldexp(_norm(np.ldexp(y[extreme], -exponent[:, None])), exponent)
+    t /= p
     conjugate = (p - 1.0) * t * t ** (1.0 / (p - 1.0))
     return _sum_axis1((y * diff).sum(axis=2) - conjugate)
 

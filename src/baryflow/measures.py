@@ -217,6 +217,14 @@ def validate_multiplan(plan: MultiPlan, marginals: Sequence[DiscreteMeasure]) ->
 # canonical form and projections
 # ---------------------------------------------------------------------------
 
+def _find(parent, i: int) -> int:
+    """Root of ``i`` in the union-find forest ``parent``, halving its path."""
+    while parent[i] != i:
+        parent[i] = parent[parent[i]]
+        i = parent[i]
+    return i
+
+
 def canonicalize(m: DiscreteMeasure) -> DiscreteMeasure:
     """Merge atoms within ``MERGE_TOL`` of each other and sort the support.
 
@@ -230,21 +238,14 @@ def canonicalize(m: DiscreteMeasure) -> DiscreteMeasure:
     if n == 0:
         return m
     parent = np.arange(n)
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     diff = pts[:, None, :] - pts[None, :, :]
     close = (diff * diff).sum(axis=2) <= MERGE_TOL * MERGE_TOL
     for i, j in zip(*np.nonzero(np.triu(close, k=1))):
-        ri, rj = find(int(i)), find(int(j))
+        ri, rj = _find(parent, int(i)), _find(parent, int(j))
         if ri != rj:
             parent[max(ri, rj)] = min(ri, rj)
 
-    roots = np.array([find(i) for i in range(n)])
+    roots = np.array([_find(parent, i) for i in range(n)])
     reps = np.unique(roots)
     merged_w = np.array([wts[roots == r].sum() for r in reps])
     merged_p = pts[reps]

@@ -41,6 +41,7 @@ from .infconv import _dual_lower_bound, _objective
 from .measures import (
     DiscreteMeasure,
     MultiPlan,
+    _find,
     _freeze,
     canonicalize,
     validate_measure,
@@ -377,17 +378,12 @@ def _spanning_tree(cost: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """
     m, n = cost.shape
     parent = list(range(m + n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     tree: list[int] = []
-    candidates = np.concatenate([np.ravel_multi_index(edges.T, (m, n)), np.argsort(cost, axis=None, kind="stable")])
+    candidates = np.concatenate(
+        [np.ravel_multi_index(edges.T, (m, n)), np.argsort(cost, axis=None, kind="stable")]
+    )
     for flat in candidates.tolist():
-        a, b = find(flat // n), find(m + flat % n)
+        a, b = _find(parent, flat // n), _find(parent, m + flat % n)
         if a != b:
             parent[a] = b
             tree.append(flat)
@@ -424,7 +420,11 @@ def wb_value(
     *,
     _plan: MmotResult | None = None,
 ) -> float:
-    """Barycenter functional ``sum_i W_p^p(nu, mu_i)`` at the measure ``nu``."""
+    """Barycenter functional ``sum_i W_p^p(nu, mu_i)`` at the measure ``nu``.
+
+    A private ``_plan``, the :class:`MmotResult` that ``nu`` was extracted
+    from, starts each pairwise LP at that plan's projection.
+    """
     starts = [None] * len(marginals) if _plan is None else _projected_pairs(_plan, nu)
     return float(sum(solve_pairwise(nu, mu, p, _start=pairs).value for mu, pairs in zip(marginals, starts)))
 
