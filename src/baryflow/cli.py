@@ -71,7 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", parents=[instance], help="run the full identity-chain verification")
     verify.add_argument(
         "--tol", type=float, default=1e-7,
-        help="relative tolerance for the value-chain comparison",
+        help="tolerance on the value chain's spread over min(1 + |value|, size^p), "
+        "size the longest side of the supports' bounding box",
     )
     verify.add_argument("--out", type=Path, default=None, help="also write report.json here")
     return parser

@@ -480,6 +480,19 @@ def _tuple_points(marginals: tuple[DiscreteMeasure, ...], indices: np.ndarray) -
     return np.stack([mu.points[indices[:, i]] for i, mu in enumerate(marginals)], axis=1)
 
 
+def _frame(marginals: tuple[DiscreteMeasure, ...]) -> tuple[np.ndarray, float]:
+    """Centre of the supports' bounding box and its longest side.
+
+    The size is 1 when every point coincides.  In the frame
+    ``x -> (x - centre) / size`` every instance has unit size, and values
+    scale back by ``size ** p``: value(s mu) = s^p value(mu).
+    """
+    points = np.concatenate([mu.points for mu in marginals])
+    low, high = points.min(axis=0), points.max(axis=0)
+    size = float((high - low).max())
+    return 0.5 * low + 0.5 * high, size if size > 0.0 else 1.0
+
+
 def solve_mmot(
     marginals: list[DiscreteMeasure] | tuple[DiscreteMeasure, ...],
     p: float,

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flows import (
+    ParticleFlow,
     _weak_form,
     build_particle_flow,
     coupling_flow_action,
@@ -53,6 +54,7 @@ from .infconv import check_exponent
 from .measures import DiscreteMeasure, canonicalize, validate_measure
 from .transport import (
     MAX_GRID,
+    _frame,
     dual_feasibility_check,
     extract_barycenter,
     solve_mmot,
@@ -74,10 +76,13 @@ __all__ = [
     "TRANSLATION_TOL",
 ]
 
-# Fixed tolerances of the named identity checks.  The value-chain and
-# dual tolerances are relative to 1 + |value|; the others are absolute
-# except stationarity and velocity balance, which their operations
-# already normalize.
+# Fixed tolerances of the named identity checks.  With size the longest
+# side of the supports' bounding box, values (value chain, dual
+# certificate, translated value) are measured against
+# min(1 + |value|, size^p) and the translated barycenter's coordinates
+# against min(1, size); continuity is evaluated on the flow mapped into
+# the unit frame of that box.  Stationarity and velocity balance are
+# normalized by their operations; momentum balance is absolute.
 STATIONARITY_TOL = 1e-8
 VELOCITY_TOL = 1e-8
 MOMENTUM_TOL = 1e-9
@@ -166,9 +171,11 @@ def run_verification(
 ) -> VerificationReport:
     """Solve one instance along every route and certify the identities.
 
-    ``value_tol`` bounds the relative spread of the four values (scaled
-    by ``1 + |value|``); the structural checks use the module-level fixed
-    tolerances.  The dual certificate reuses the solve's meeting points.
+    ``value_tol`` bounds the spread of the four values over
+    ``min(1 + |value|, size^p)``, where ``size`` is the longest side of
+    the supports' bounding box; the structural checks use the
+    module-level fixed tolerances, scaled as noted beside them.  The
+    dual certificate reuses the solve's meeting points.
     The second solves, the pairwise LPs of the barycenter functional and
     the translation check's re-solve of the instance with all marginals
     shifted by :func:`translation_vector` (which compares both the value
@@ -193,7 +200,8 @@ def run_verification(
         "flow_action": action,
         "coupling_flow_action": caction,
     }
-    scale = 1.0 + abs(result.value)
+    centre, size = _frame(mus)
+    scale = min(1.0 + abs(result.value), float(np.power(size, p)))
 
     checks: dict[str, CheckOutcome] = {}
     spread = max(values.values()) - min(values.values())
@@ -208,7 +216,8 @@ def run_verification(
         checks["momentum_balance"] = CheckOutcome(
             residual=momentum_balance_residual(flow), tolerance=MOMENTUM_TOL
         )
-    _, boundary, integral = _weak_form(flow, 4)
+    framed = ParticleFlow((flow.starts - centre) / size, (flow.targets - centre) / size, flow.masses, p)
+    _, boundary, integral = _weak_form(framed, 4)
     checks["continuity"] = CheckOutcome(
         residual=float(np.abs(boundary - integral).max()), tolerance=CONTINUITY_TOL
     )
@@ -235,7 +244,7 @@ def run_verification(
     if len(moved) == len(shifted_barycenter):
         coord_error = float(
             np.abs(moved.points - shifted_barycenter.points).max(initial=0.0)
-        )
+        ) / min(1.0, size)
         weight_error = float(
             np.abs(moved.weights - shifted_barycenter.weights).max(initial=0.0)
         )

@@ -10,6 +10,7 @@ import pytest
 from baryflow import (
     CheckOutcome,
     DiscreteMeasure,
+    ParticleFlow,
     build_particle_flow,
     continuity_residual,
     extract_barycenter,
@@ -136,16 +137,36 @@ class TestRunVerification:
         assert rep.passed, rep.failing()
 
     def test_continuity_check_is_the_worst_family(self):
-        # at scale 1e3 the residual is roundoff on monomials near 1e12, so
-        # it is nonzero and the maximum over families is a real choice
+        # the check reads the flow mapped into the instance's frame, where
+        # positions have unit size; it is the maximum over the families
         mus = [
             DiscreteMeasure(1e3 * mu.points, mu.weights) for mu in random_marginals(47, 3, 4, 2)
         ]
         rep = run_verification(mus, 1.5)
         flow = build_particle_flow(solve_mmot(mus, 1.5))
-        residuals = [continuity_residual(flow, i) for i in range(flow.n_marginals)]
-        assert max(residuals) > 0.0
+        centre, size = transport._frame(mus)
+        framed = ParticleFlow((flow.starts - centre) / size, (flow.targets - centre) / size, flow.masses, 1.5)
+        residuals = [continuity_residual(framed, i) for i in range(flow.n_marginals)]
         assert rep.checks["continuity"].residual == max(residuals)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_continuity_passes_at_large_scale(self, p):
+        # raw coordinates near 1e3 put roundoff of about 1e-5 on the
+        # degree-4 monomials; in the frame it is roundoff of order one
+        mus = [DiscreteMeasure(1e3 * mu.points, mu.weights) for mu in random_marginals(54, 3, 5, 2)]
+        rep = run_verification(mus, p)
+        assert rep.checks["continuity"].residual <= 1e-14
+        assert rep.passed, rep.failing()
+
+    def test_dual_certificate_fails_on_a_wrong_answer_at_small_scale(self, monkeypatch):
+        # with pricing switched off the north-west staircase is returned as
+        # optimal; at scale 1e-3 its dual excess is far above DUAL_TOL times
+        # size^p although it is below DUAL_TOL * (1 + |value|)
+        mus = [DiscreteMeasure(1e-3 * mu.points, mu.weights) for mu in random_marginals(55, 3, 8, 2)]
+        monkeypatch.setattr(transport, "OPT_TOL", np.inf)
+        rep = run_verification(mus, 3.0)
+        assert "dual_certificate" in rep.failing()
+        assert rep.checks["dual_certificate"].residual > 1e3 * verify.DUAL_TOL
 
     def test_one_newton_grid_per_solve(self, monkeypatch):
         # the solve and the translated re-solve; the dual certificate
