@@ -19,8 +19,6 @@ from baryflow import (
     build_particle_flow,
     coupling_snapshot,
     export_flow_frames,
-    flow_marginal,
-    flow_start_measure,
     random_marginals,
     snapshot,
     solve_mmot,
@@ -37,7 +35,7 @@ print()
 
 # At t = 0 every family shows the barycenter; at t = 1 family i shows
 # marginal i. In between, mass moves along straight lines.
-start = flow_start_measure(flow)
+start = snapshot(flow, 0, 0.0)
 print("barycenter support:", np.round(start.points, 3).tolist())
 for t in (0.0, 0.5, 1.0):
     snap = snapshot(flow, 0, t)
@@ -47,7 +45,7 @@ print()
 # Geodesic check: the distance between two snapshots scales linearly in
 # the elapsed time, with slope the full barycenter-to-marginal distance.
 for i in range(flow.n_marginals):
-    full = solve_pairwise(start, flow_marginal(flow, i), p).value ** (1.0 / p)
+    full = solve_pairwise(start, snapshot(flow, i, 1.0), p).value ** (1.0 / p)
     half = solve_pairwise(snapshot(flow, i, 0.25), snapshot(flow, i, 0.75), p).value ** (1.0 / p)
     print(f"family {i + 1}: W_p(start, end) = {full:.6f}, "
           f"W_p(t=0.25, t=0.75) = {half:.6f}, ratio {half / full:.6f} (expect 0.5)")

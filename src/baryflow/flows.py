@@ -45,8 +45,6 @@ __all__ = [
     "build_particle_flow",
     "snapshot",
     "coupling_snapshot",
-    "flow_start_measure",
-    "flow_marginal",
     "flow_action",
     "coupling_flow_action",
     "velocity_balance_residual",
@@ -157,18 +155,6 @@ def coupling_snapshot(flow: ParticleFlow, t: float) -> DiscreteMeasure:
     starts, targets = _product_space(flow)
     positions = (1.0 - t) * starts + t * targets
     return canonicalize(DiscreteMeasure(positions, flow.masses))
-
-
-def flow_start_measure(flow: ParticleFlow) -> DiscreteMeasure:
-    """Common time-zero measure of all families (the barycenter measure)."""
-    return canonicalize(DiscreteMeasure(flow.starts, flow.masses))
-
-
-def flow_marginal(flow: ParticleFlow, i: int) -> DiscreteMeasure:
-    """Endpoint measure of family ``i`` (equals the ``i``-th marginal)."""
-    if not 0 <= i < flow.n_marginals:
-        raise IndexOutOfRangeError(f"family index {i} outside 0..{flow.n_marginals - 1}")
-    return canonicalize(DiscreteMeasure(flow.targets[:, i, :], flow.masses))
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ __all__ = [
     "check_exponent",
     "power_cost_gradient",
     "barycenter_point",
-    "infconv_cost",
     "batch_barycenters",
 ]
 
@@ -43,9 +42,6 @@ __all__ = [
 # terms.
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200
-# For p < 2 the Hessian blows up near data points; radii below this are
-# clamped inside the Hessian (the gradient always uses true radii).
-_PROXIMITY = 1e-11
 # Armijo sufficient-decrease constant and halving budget.
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
@@ -355,12 +351,11 @@ def _newton(
 
         # Newton step on the remaining rows.  The Hessian of the
         # objective is p sum_i r^(p-2) (I + (p-2) u u^T) with u the unit
-        # displacement, positive definite for every p > 1; radii are
-        # floored for p < 2 to keep it bounded.  The regularization is
-        # 1e-12 of the trace, so it follows the curvature at every scale.
-        r_h = np.maximum(r, _PROXIMITY) if p < 2.0 else r
-        safe = np.where(r_h > 0.0, r_h, 1.0)
-        iso = np.where(r_h > 0.0, p * safe ** (p - 2.0), 0.0)
+        # displacement, positive definite for every p > 1.  The
+        # regularization is 1e-12 of the trace, so it follows the
+        # curvature at every scale.
+        safe = np.where(r > 0.0, r, 1.0)
+        iso = np.where(r > 0.0, p * safe ** (p - 2.0), 0.0)
         u = np.where(r[:, :, None] > 0.0, diff / np.where(r[:, :, None] > 0.0, r[:, :, None], 1.0), 0.0)
         terms = (p - 2.0) * u[:, :, :, None] * u[:, :, None, :]
         terms += eye
@@ -482,8 +477,3 @@ def barycenter_point(xs: object, p: float) -> BarycenterResult:
         raise DimensionMismatchError(f"expected an (N, d) tuple of points, got shape {np.shape(xs)}")
     z, value, grad = batch_barycenters(arr[None], p)
     return BarycenterResult(barycenter=z[0], value=float(value[0]), grad_norm=float(grad[0]))
-
-
-def infconv_cost(xs: object, p: float) -> float:
-    """Infimal-convolution cost ``inf_z sum_i |x_i - z|^p`` of one tuple."""
-    return barycenter_point(xs, p).value

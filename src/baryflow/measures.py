@@ -39,7 +39,6 @@ __all__ = [
     "validate_measure",
     "validate_multiplan",
     "canonicalize",
-    "marginal",
     "measures_close",
     "measure_to_dict",
     "measure_from_dict",
@@ -251,21 +250,6 @@ def canonicalize(m: DiscreteMeasure) -> DiscreteMeasure:
     merged_p = pts[reps]
     order = np.lexsort(merged_p.T[::-1])
     return DiscreteMeasure(merged_p[order], merged_w[order])
-
-
-def marginal(plan: MultiPlan, k: int, supports: Sequence[DiscreteMeasure]) -> DiscreteMeasure:
-    """Project an N-marginal plan onto its ``k``-th marginal.
-
-    ``supports`` holds the measures whose atoms the plan indexes; only
-    the points of the ``k``-th one are read.
-    """
-    if not 0 <= k < plan.n_marginals:
-        raise IndexOutOfRangeError(f"marginal index {k} outside 0..{plan.n_marginals - 1}")
-    pts = supports[k].points
-    if len(pts) != plan.support_sizes[k]:
-        raise DimensionMismatchError(f"support {k} has {len(pts)} atoms, plan expects {plan.support_sizes[k]}")
-    weights = np.bincount(plan.indices[:, k], weights=plan.masses, minlength=len(pts))
-    return DiscreteMeasure(pts, weights)
 
 
 def measures_close(a: DiscreteMeasure, b: DiscreteMeasure) -> bool:

@@ -67,7 +67,7 @@ __all__ = [
 MAX_GRID = 200_000
 # Plan entries at or below this are treated as numerically zero.
 MASS_CUTOFF = 1e-12
-# Optimality tolerance on reduced costs.
+# Optimality tolerance on reduced costs, relative to the largest |cost|.
 OPT_TOL = 1e-9
 # Entries of the basis-transformed entering column below this are treated
 # as nonpositive in the ratio test.  On its own this admits pivots on
@@ -206,9 +206,11 @@ def _transport_simplex(
     the returned masses and potentials come from a fresh inverse; the
     entering direction is the sum of its columns for the entering
     tuple's atoms.  All tuples are priced by broadcasting the potentials
-    into preallocated buffers.  Dantzig's rule picks the entering tuple
-    and Harris's two-pass ratio test the leaving row; after
-    ``3 * (rows + cols)`` pivots Bland's rule takes over both choices.
+    into preallocated buffers, against ``OPT_TOL`` times the largest
+    |cost|, so the optimality test does not depend on the cost scale.
+    Dantzig's rule picks the entering tuple and Harris's two-pass ratio
+    test the leaving row; after ``3 * (rows + cols)`` pivots Bland's rule
+    takes over both choices.
 
     ``start`` is an optional starting basis, R flat tuple indices.  It is
     used only if its basis matrix is nonsingular and no basic mass lies
@@ -239,6 +241,7 @@ def _transport_simplex(
         rows[-1] = n_rows
     b = np.concatenate([weights[0]] + [w[:-1] for w in weights[1:]])
     flat_costs = costs.ravel()
+    opt_tol = OPT_TOL * np.abs(flat_costs).max()
     bland_after = 3 * (n_rows + flat_costs.size)
     max_iter = 10_000 + 100 * (n_rows + flat_costs.size)
 
@@ -292,11 +295,11 @@ def _transport_simplex(
         bland = pivots >= bland_after
         if bland:
             # Bland's rule: lowest-index improving column, guaranteed finite.
-            negatives = np.flatnonzero(reduced < -OPT_TOL)
+            negatives = np.flatnonzero(reduced < -opt_tol)
             entering = int(negatives[0]) if negatives.size else -1
         else:
             entering = int(reduced.argmin())
-            if reduced[entering] >= -OPT_TOL:
+            if reduced[entering] >= -opt_tol:
                 entering = -1
         if entering < 0:
             if updates == 0:
@@ -505,9 +508,11 @@ def solve_mmot(
     One LP variable per tuple of the product grid, one constraint per
     marginal atom; the last constraint of every marginal but the first
     is redundant and dropped, so those potentials are zero at the last
-    atom.  Costs are the per-tuple infimal-convolution values.  A private
-    ``_start`` of grid meeting points and a basis (from a solve with the
-    same weights) starts Newton and the simplex; it changes only the path.
+    atom.  Costs are the per-tuple infimal-convolution values, from Newton
+    on the grid mapped into the instance's frame (see :func:`_frame`);
+    meeting points and costs are mapped back.  A private ``_start`` of
+    grid meeting points and a basis (from a solve with the same weights)
+    starts Newton and the simplex; it changes only the path.
 
     Raises
     ------
@@ -538,10 +543,16 @@ def solve_mmot(
         )
     indices = np.indices(sizes).reshape(len(sizes), total).T
     start_points, start_basis = (None, None) if _start is None else _start
+    centre, size = _frame(mus)
+    points = (_tuple_points(mus, indices) - centre) / size
+    if start_points is not None:
+        start_points = (start_points - centre) / size
     try:
-        barycenters, costs, _ = batch_barycenters(_tuple_points(mus, indices), p, _start=start_points)
+        barycenters, costs, _ = batch_barycenters(points, p, _start=start_points)
     except ConvergenceError as exc:
         raise ConvergenceError(f"tuple grid {'x'.join(map(str, sizes))}: {exc}") from exc
+    with np.errstate(over="ignore"):
+        costs = costs * np.power(size, p)
     support, masses, value, potentials, final_basis = _transport_simplex(
         costs.reshape(sizes), [mu.weights for mu in mus], start_basis
     )
@@ -554,7 +565,7 @@ def solve_mmot(
     return MmotResult(
         plan=plan,
         value=value,
-        grid_barycenters=barycenters,
+        grid_barycenters=centre + size * barycenters,
         potentials=potentials,
         marginals=mus,
         p=p,

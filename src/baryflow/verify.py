@@ -32,6 +32,19 @@ from the north-west staircase reach the same answer on the shifted
 instance (tied optima now tend to land on the first solve's vertex),
 and the functional no longer shows that a pairwise LP from the
 staircase reaches the multi-marginal value.
+
+Both solves run Newton in the instance's frame (centred on the supports'
+bounding box, divided by its longest side), and a shift moves only the
+centre.  So in the frame the translated grid is the first one up to the
+rounding of the centring, and the translation check mostly exercises the
+frame itself: the centre, the size and the map back of meeting points
+and costs.  It still catches a centre or map-back that does not follow
+the shift, a barycenter that does not move with the marginals, and a
+solve whose answer turns on rounding at the new position; it no longer
+shows that Newton reaches the same answer from different coordinates.
+The checks measure values against ``min(1 + |value|, size^p)``, so the
+dual certificate, not the translation check, is what catches a wrong
+optimum at small scale.
 """
 
 from __future__ import annotations

@@ -26,18 +26,16 @@ from baryflow import (
     dual_feasibility_check,
     extract_barycenter,
     flow_action,
-    flow_marginal,
-    flow_start_measure,
     momentum_balance_residual,
     random_marginals,
     snapshot,
     solve_mmot,
     solve_pairwise,
     stationarity_residual,
-    translation_vector,
     velocity_balance_residual,
     wb_value,
 )
+from baryflow.verify import translation_vector
 
 from .oracles import (
     assignment_value,
@@ -169,7 +167,7 @@ def test_criterion_06_geodesic_property(solved):
         p = inst.p
         for i in range(inst.flow.n_marginals):
             base = solve_pairwise(
-                flow_start_measure(inst.flow), flow_marginal(inst.flow, i), p
+                snapshot(inst.flow, i, 0.0), snapshot(inst.flow, i, 1.0), p
             ).value ** (1.0 / p)
             for s, t in ((0.0, 0.5), (0.5, 1.0), (0.25, 0.75)):
                 seg = solve_pairwise(

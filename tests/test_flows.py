@@ -18,9 +18,8 @@ from baryflow import (
     coupling_snapshot,
     export_coupling_frames,
     export_flow_frames,
+    extract_barycenter,
     flow_action,
-    flow_marginal,
-    flow_start_measure,
     measures_close,
     snapshot,
     solve_mmot,
@@ -77,15 +76,14 @@ class TestConstruction:
 
 class TestSnapshots:
     def test_time_zero_is_the_barycenter_measure(self, solved):
-        _, _, flow = solved
+        _, result, flow = solved
         for i in range(flow.n_marginals):
-            assert measures_close(snapshot(flow, i, 0.0), flow_start_measure(flow))
+            assert measures_close(snapshot(flow, i, 0.0), extract_barycenter(result))
 
     def test_time_one_is_the_marginal(self, solved):
         mus, _, flow = solved
         for i, mu in enumerate(mus):
             assert measures_close(snapshot(flow, i, 1.0), canonicalize(mu))
-            assert measures_close(flow_marginal(flow, i), canonicalize(mu))
 
     def test_mass_is_conserved_along_the_way(self, solved):
         _, _, flow = solved
@@ -128,7 +126,7 @@ class TestGeodesics:
         rng = np.random.default_rng(32)
         mus = [random_measure(rng, 3, 2) for _ in range(2)]
         flow = build_particle_flow(solve_mmot(mus, p))
-        base = solve_pairwise(flow_start_measure(flow), flow_marginal(flow, 0), p).value
+        base = solve_pairwise(snapshot(flow, 0, 0.0), snapshot(flow, 0, 1.0), p).value
         for s, t in ((0.0, 0.5), (0.25, 0.75), (0.5, 1.0)):
             seg = solve_pairwise(snapshot(flow, 0, s), snapshot(flow, 0, t), p).value
             assert seg == pytest.approx(abs(t - s) ** p * base, rel=1e-8, abs=1e-13)

@@ -10,7 +10,6 @@ import pytest
 from baryflow import (
     DimensionMismatchError,
     DiscreteMeasure,
-    IndexOutOfRangeError,
     MarginalMismatchError,
     MultiPlan,
     NegativeWeightError,
@@ -18,14 +17,13 @@ from baryflow import (
     WeightSumError,
     canonicalize,
     load_measure,
-    marginal,
-    measure_from_dict,
     measure_to_dict,
     measures_close,
     save_measure,
     validate_measure,
     validate_multiplan,
 )
+from baryflow.measures import measure_from_dict
 
 
 @pytest.fixture
@@ -150,17 +148,6 @@ class TestMultiPlan:
         assert dense.shape == (2, 2, 2)
         assert dense[tuple(plan.indices.T)].tolist() == plan.masses.tolist()
         assert dense.sum() == 1.0
-
-    def test_marginal_projection(self):
-        plan, mus = self.make_plan()
-        third = marginal(plan, 2, mus)
-        assert np.array_equal(third.points, mus[2].points)
-        assert np.allclose(third.weights, [0.25, 0.75])
-
-    def test_marginal_index_out_of_range(self):
-        plan, mus = self.make_plan()
-        with pytest.raises(IndexOutOfRangeError):
-            marginal(plan, 3, mus)
 
     def test_mismatched_marginal_detected(self):
         plan, mus = self.make_plan()

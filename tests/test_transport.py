@@ -15,14 +15,14 @@ from baryflow import (
     DiscreteMeasure,
     NonFiniteCoordinateError,
     ProductGridError,
+    barycenter_point,
     c_transform,
     canonicalize,
     dual_feasibility_check,
     extract_barycenter,
-    infconv_cost,
-    marginal,
     measures_close,
     pairwise_cost_matrix,
+    random_marginals,
     solve_mmot,
     solve_pairwise,
     stationarity_residual,
@@ -179,7 +179,7 @@ class TestMmot:
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
         mus = [DiscreteMeasure([pt], [1.0]) for pt in pts]
         res = solve_mmot(mus, 1.5)
-        assert res.value == pytest.approx(infconv_cost(pts, 1.5), rel=1e-12)
+        assert res.value == pytest.approx(barycenter_point(pts, 1.5).value, rel=1e-12)
         assert len(res.plan) == 1
 
     def test_identical_marginals_cost_zero(self):
@@ -195,8 +195,6 @@ class TestMmot:
         res = solve_mmot(mus, 1.5)
         validate_multiplan(res.plan, mus)
         assert res.plan.masses.min() > 0.0
-        for k, mu in enumerate(mus):
-            assert measures_close(marginal(res.plan, k, mus), canonicalize(mu))
 
     def test_support_is_sparse(self):
         # a basic LP solution has at most (constraint count) active tuples
@@ -268,6 +266,26 @@ class TestMmot:
         rng = np.random.default_rng(17)
         with pytest.raises(DimensionMismatchError):
             solve_mmot([random_measure(rng, 3, 2), random_measure(rng, 3, 1)], 2.0)
+
+
+class TestScalingLaw:
+    # value(s mu) = s^p value(mu); both solvers decide scale from the
+    # instance itself, so no threshold is absolute
+    @pytest.mark.parametrize("s", [1e-6, 1e-3, 1e3])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_mmot(self, p, s):
+        mus = random_marginals(61, 3, 6, 2)
+        scaled = [DiscreteMeasure(s * mu.points, mu.weights) for mu in mus]
+        assert solve_mmot(scaled, p).value == pytest.approx(s**p * solve_mmot(mus, p).value, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("s", [1e-6, 1e-3, 1e3])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_pairwise(self, p, s):
+        rng = np.random.default_rng(62)
+        mu, nu = random_measure(rng, 8, 2, uniform=False), random_measure(rng, 9, 2, uniform=False)
+        scaled = [DiscreteMeasure(s * m.points, m.weights) for m in (mu, nu)]
+        value = solve_pairwise(*scaled, p).value
+        assert value == pytest.approx(s**p * solve_pairwise(mu, nu, p).value, rel=1e-12, abs=0.0)
 
 
 def quadratic_grid_costs(mus: list[DiscreteMeasure]) -> np.ndarray:
@@ -346,7 +364,7 @@ class TestTransportSimplex:
         pts = rng.uniform(size=(n_marginals, 2))
         mus = [DiscreteMeasure([pt], [1.0]) for pt in pts]
         res = solve_mmot(mus, 1.5)
-        assert res.value == pytest.approx(infconv_cost(pts, 1.5), rel=1e-12)
+        assert res.value == pytest.approx(barycenter_point(pts, 1.5).value, rel=1e-12)
         assert res.plan.indices.tolist() == [[0] * n_marginals]
         assert_certified(res)
 

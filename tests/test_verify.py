@@ -17,11 +17,12 @@ from baryflow import (
     random_marginals,
     run_verification,
     solve_mmot,
-    translation_vector,
     wb_value,
 )
 from baryflow import flows, transport, verify
-from baryflow.verify import TRANSLATION_TOL
+from baryflow.verify import TRANSLATION_TOL, translation_vector
+
+from .oracles import exhaustive_mmot_value, tuple_cost_minimize
 
 
 @pytest.fixture(scope="module")
@@ -151,8 +152,8 @@ class TestRunVerification:
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_continuity_passes_at_large_scale(self, p):
-        # raw coordinates near 1e3 put roundoff of about 1e-5 on the
-        # degree-4 monomials; in the frame it is roundoff of order one
+        # in raw coordinates near 1e3 the degree-4 monomials reach 1e12
+        # and their roundoff about 1e-5; in the frame they are of order one
         mus = [DiscreteMeasure(1e3 * mu.points, mu.weights) for mu in random_marginals(54, 3, 5, 2)]
         rep = run_verification(mus, p)
         assert rep.checks["continuity"].residual <= 1e-14
@@ -167,6 +168,19 @@ class TestRunVerification:
         rep = run_verification(mus, 3.0)
         assert "dual_certificate" in rep.failing()
         assert rep.checks["dual_certificate"].residual > 1e3 * verify.DUAL_TOL
+
+    def test_small_scale_report_certifies_the_right_value(self):
+        # at scale 1e-3 and p = 3 every tuple cost is below 1e-9; an
+        # absolute pricing threshold took the north-west staircase as
+        # optimal, and the report passed with about 5x the optimum
+        s, p = 1e-3, 3.0
+        unit = random_marginals(56, 3, 8, 2)
+        rep = run_verification([DiscreteMeasure(s * mu.points, mu.weights) for mu in unit], p)
+        assert rep.passed, rep.failing()
+        indices = np.indices((8, 8, 8)).reshape(3, -1).T
+        costs = [tuple_cost_minimize(np.stack([mu.points[i] for mu, i in zip(unit, idx)]), p) for idx in indices]
+        reference = exhaustive_mmot_value([mu.points for mu in unit], [mu.weights for mu in unit], costs)
+        assert rep.values["mmot"] == pytest.approx(s**p * reference, rel=1e-8, abs=0.0)
 
     def test_one_newton_grid_per_solve(self, monkeypatch):
         # the solve and the translated re-solve; the dual certificate
