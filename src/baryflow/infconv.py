@@ -161,7 +161,13 @@ def _dual_lower_bound(points: np.ndarray, z: np.ndarray, p: float) -> np.ndarray
     no bit.
     """
     diff = points - z[:, None, :]
-    y = power_cost_gradient(diff, p)
+    return _displacement_lower_bound(diff, _norm(diff), p)
+
+
+def _displacement_lower_bound(diff: np.ndarray, r: np.ndarray, p: float) -> np.ndarray:
+    """:func:`_dual_lower_bound` from the displacements ``x_i - z`` and their norms."""
+    safe = np.where(r > 0.0, r, 1.0)
+    y = np.where(r > 0.0, p * safe ** (p - 2.0), 0.0)[:, :, None] * diff
     y -= y.mean(axis=1, keepdims=True)
     t = _norm(y)
     extreme = (t < 2.0**-510) | (t > 2.0**510)
@@ -220,6 +226,19 @@ def _start_state(points: np.ndarray, p: float):
     return z, state, value
 
 
+def _mean_bounds(points: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tuple means, and a lower and an upper bound on each tuple cost there.
+
+    The upper bound is the objective at the mean and the lower one
+    :func:`_dual_lower_bound` there, capped at the upper one (it can be
+    ``-inf`` for p near 1).  Raises as :func:`_start_state` does.
+    """
+    z, state, upper = _start_state(points, p)
+    with np.errstate(over="ignore"):
+        lower = _displacement_lower_bound(state[4], state[3], p)
+    return z, np.minimum(lower, upper), upper
+
+
 def batch_barycenters(
     points: object, p: float, *, _start: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -241,7 +260,9 @@ def batch_barycenters(
     ------
     ConvergenceError
         If some tuple misses ``DEFAULT_TOL`` after ``DEFAULT_MAX_ITER``
-        Newton iterations and the pinned-point finish.
+        Newton iterations and the pinned-point finish; its
+        ``unconverged`` and ``worst_residual`` give the count of such
+        tuples and the largest residual among them.
     NonFiniteCoordinateError
         If the cost or its gradient overflows at the mean of some tuple:
         distances above about 1e154, or lower ones for p > 2.
@@ -280,11 +301,23 @@ def batch_barycenters(
         pts, state = pts[rows], [part[rows] for part in state]
     unconverged, residuals = _newton(pts, z, state, p, rows, DEFAULT_MAX_ITER, values, grad_norms)
     if unconverged.size:
-        raise ConvergenceError(
-            f"{unconverged.size} of {m} barycenters unconverged after "
-            f"{DEFAULT_MAX_ITER} iterations (worst residual {residuals.max():.3e})"
-        )
+        raise _unconverged_error(unconverged.size, m, float(residuals.max()))
     return z, values, grad_norms
+
+
+def _unconverged_error(count: int, batch: int, worst: float) -> ConvergenceError:
+    """The error for ``count`` of ``batch`` rows left above the tolerance.
+
+    Built here, not in the raising frame: an exception held by a local of
+    the frame in its traceback forms a cycle that keeps the frame's
+    arrays alive until the garbage collector runs.
+    """
+    error = ConvergenceError(
+        f"{count} of {batch} barycenters unconverged after "
+        f"{DEFAULT_MAX_ITER} iterations (worst residual {worst:.3e})"
+    )
+    error.unconverged, error.worst_residual = count, worst
+    return error
 
 
 def _newton(

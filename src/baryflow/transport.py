@@ -36,8 +36,8 @@ from .exceptions import (
     NonFiniteCoordinateError,
     ProductGridError,
 )
-from .infconv import _balance_residual, batch_barycenters, check_exponent
-from .infconv import _dual_lower_bound, _objective
+from .infconv import DEFAULT_MAX_ITER, _balance_residual, batch_barycenters, check_exponent
+from .infconv import _dual_lower_bound, _mean_bounds, _objective
 from .measures import (
     DiscreteMeasure,
     MultiPlan,
@@ -114,8 +114,10 @@ class MmotResult:
     value : float
         Optimal multi-marginal cost.
     grid_barycenters : ndarray, shape (n_1 * ... * n_N, d)
-        Barycenter point (the minimizer of the inner infimal
-        convolution) of every grid tuple, in the C order of ``np.indices``.
+        A witness point per grid tuple, in the C order of ``np.indices``:
+        the meeting point (the minimizer of the inner infimal convolution)
+        of every tuple whose cost the solve computed, among them the
+        basic ones and so the plan support, and the tuple mean elsewhere.
     tuple_barycenters : ndarray, shape (k, d)
         Property: the rows of ``grid_barycenters`` on the plan support.
     potentials : tuple of ndarray
@@ -136,13 +138,17 @@ class MmotResult:
     # The simplex's final basis, zero-mass basic tuples included: a
     # feasible start for any problem with the same weights.
     _basis: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # Which grid tuples have an exact cost (a Newton meeting point); the
+    # basic ones always do.
+    _exact: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "grid_barycenters", _freeze(self.grid_barycenters, float))
         object.__setattr__(self, "potentials", tuple(_freeze(pot, float) for pot in self.potentials))
         object.__setattr__(self, "marginals", tuple(self.marginals))
-        if self._basis is not None:
-            object.__setattr__(self, "_basis", _freeze(self._basis))
+        for name in ("_basis", "_exact"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _freeze(getattr(self, name)))
 
     @property
     def tuple_barycenters(self) -> np.ndarray:
@@ -208,6 +214,10 @@ def _transport_simplex(
     tuple's atoms.  All tuples are priced by broadcasting the potentials
     into preallocated buffers, against ``OPT_TOL`` times the largest
     |cost|, so the optimality test does not depend on the cost scale.
+    Lazy costs do not loosen it: in the LP whose optimum
+    :func:`solve_mmot` accepts, a tuple cost not yet computed is a lower
+    bound clamped at zero, so every entry lies between zero and the
+    exact cost, and the largest |cost| is at most that of the exact costs.
     Dantzig's rule picks the entering tuple and Harris's two-pass ratio
     test the leaving row; after ``3 * (rows + cols)`` pivots Bland's rule
     takes over both choices.
@@ -508,18 +518,36 @@ def solve_mmot(
     One LP variable per tuple of the product grid, one constraint per
     marginal atom; the last constraint of every marginal but the first
     is redundant and dropped, so those potentials are zero at the last
-    atom.  Costs are the per-tuple infimal-convolution values, from Newton
+    atom.  Costs are the per-tuple infimal-convolution values, computed
     on the grid mapped into the instance's frame (see :func:`_frame`);
-    meeting points and costs are mapped back.  A private ``_start`` of
-    grid meeting points and a basis (from a solve with the same weights)
-    starts Newton and the simplex; it changes only the path.
+    meeting points and costs are mapped back.
+
+    For p = 2 the tuple mean is the meeting point, so every cost is exact
+    at once.  Otherwise costs are computed lazily, in LP rounds.  Each
+    tuple starts with two closed-form bounds at its mean: the objective
+    ``U`` there and the conjugate lower bound ``L`` that
+    :func:`dual_feasibility_check` also uses.  The first LP prices the
+    bounds' midpoint and every later one a tuple not yet computed at
+    ``max(L, 0)``.  After each LP, Newton runs on the tuples not yet
+    computed that are basic or whose reduced cost at ``L`` is below
+    ``U - L``, and the simplex restarts from its last basis.  The rounds
+    end when an LP on ``L`` leaves no such tuple.  Then every basic cost
+    is exact and every other tuple has ``cost >= L >=`` its dual sum,
+    within the pricing tolerance: the optimum is proven on the whole
+    grid, as if every cost were exact.
+
+    A private ``_start`` of grid witness points, a basis and the mask of
+    computed tuples (from a solve with the same weights) computes those
+    tuples first, from those points, and starts the simplex at that
+    basis; it changes only the path.
 
     Raises
     ------
     ProductGridError
         If the product of support sizes exceeds ``max_grid``.
     ConvergenceError
-        If the barycenter of some grid tuple misses the Newton tolerance.
+        If the barycenter of a grid tuple whose cost is computed misses
+        the Newton tolerance.
     CycleLimitError
         If the transport simplex runs out of pivots or its basis
         degenerates numerically.
@@ -542,20 +570,57 @@ def solve_mmot(
             "raise max_grid explicitly if this size is intended"
         )
     indices = np.indices(sizes).reshape(len(sizes), total).T
-    start_points, start_basis = (None, None) if _start is None else _start
+    cold = _start is None
+    start_points, basis, pending = (None, None, np.zeros(total, dtype=bool)) if cold else _start
     centre, size = _frame(mus)
     points = (_tuple_points(mus, indices) - centre) / size
     if start_points is not None:
         start_points = (start_points - centre) / size
-    try:
-        barycenters, costs, _ = batch_barycenters(points, p, _start=start_points)
-    except ConvergenceError as exc:
-        raise ConvergenceError(f"tuple grid {'x'.join(map(str, sizes))}: {exc}") from exc
+    weights = [mu.weights for mu in mus]
+    grid = "x".join(map(str, sizes))
     with np.errstate(over="ignore"):
-        costs = costs * np.power(size, p)
-    support, masses, value, potentials, final_basis = _transport_simplex(
-        costs.reshape(sizes), [mu.weights for mu in mus], start_basis
-    )
+        scale = np.power(size, p)
+    if p == 2.0:
+        # The tuple mean is the meeting point: every cost is exact at once.
+        barycenters, costs = _grid_costs(points, p, start_points, grid, total)
+        with np.errstate(over="ignore"):
+            costs = costs * scale
+        exact = np.ones(total, dtype=bool)
+    else:
+        barycenters, lower, upper = _mean_bounds(points, p)
+        with np.errstate(over="ignore", invalid="ignore"):
+            lower, upper = lower * scale, upper * scale
+        exact = np.zeros(total, dtype=bool)
+        # From a cold start, a first LP on the bounds' midpoint lands nearer
+        # the exact optimum than one on the lower bound; later LPs price
+        # every inexact tuple at its lower bound.
+        costs = np.maximum(0.5 * lower + 0.5 * upper if cold else lower, 0.0)
+    estimated = cold
+    while True:
+        rows = np.flatnonzero(pending & ~exact)
+        if rows.size:
+            start = None if start_points is None else start_points[rows]
+            barycenters[rows], refined = _grid_costs(points[rows], p, start, grid, total)
+            with np.errstate(over="ignore"):
+                costs[rows] = refined * scale
+            exact[rows] = True
+        start_points = None  # the start covers the tuples of the first round
+        support, masses, value, potentials, basis = _transport_simplex(costs.reshape(sizes), weights, basis)
+        if exact.all():
+            break
+        summed = potentials[0]
+        for pot in potentials[1:]:
+            summed = np.add.outer(summed, pot)
+        # Refine the basic tuples, and those whose reduced cost at the
+        # lower bound is below the bounds' gap: as the duals move, they
+        # are the likeliest to enter.
+        pending = lower - summed.ravel() < upper - lower
+        pending[basis] = True
+        if estimated:
+            estimated = False
+            costs[~exact] = np.maximum(lower[~exact], 0.0)
+        elif not (pending & ~exact).any():
+            break
     plan = MultiPlan(
         n_marginals=len(mus),
         support_sizes=sizes,
@@ -569,8 +634,25 @@ def solve_mmot(
         potentials=potentials,
         marginals=mus,
         p=p,
-        _basis=final_basis,
+        _basis=basis,
+        _exact=exact,
     )
+
+
+def _grid_costs(
+    points: np.ndarray, p: float, start: np.ndarray | None, grid: str, total: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Meeting points and costs of some rows of a tuple grid of ``total``
+    tuples; a ``ConvergenceError`` names the grid."""
+    try:
+        barycenters, costs, _ = batch_barycenters(points, p, _start=start)
+    except ConvergenceError as exc:
+        raise ConvergenceError(
+            f"tuple grid {grid}: {exc.unconverged} of {total} barycenters unconverged after "
+            f"{DEFAULT_MAX_ITER} iterations (worst residual {exc.worst_residual:.3e}; "
+            f"Newton ran on {len(points)} of them)"
+        ) from exc
+    return barycenters, costs
 
 
 def stationarity_residual(result: MmotResult) -> float:

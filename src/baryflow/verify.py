@@ -16,13 +16,15 @@ invariance of the whole problem under a common translation of the
 marginals.  The outcome is a :class:`VerificationReport` with a fixed,
 deterministic JSON serialization.
 
-Only the first solve starts cold.  The translated re-solve starts each
-grid tuple's Newton iteration at the first solve's meeting point plus the
-shift, and its simplex at the first solve's final basis; a tuple not
-settled by the first pinned-point finish is solved again from its tuple
-mean, exactly as cold.  The functional's pairwise LPs start from the
-multi-marginal plan projected onto (barycenter atom, atom of mu_i),
-completed to a spanning tree.  A start changes only the path, so both
+Only the first solve starts cold.  The translated re-solve first
+computes the grid tuples whose costs the first solve computed (the basic
+ones and those the LP rounds brought in), starting each Newton iteration
+at that solve's meeting point plus the shift, and starts its simplex at
+the first solve's final basis.  A tuple not settled by the first
+pinned-point finish is solved again from its tuple mean, exactly as cold,
+and so is any tuple a later round adds.  The functional's pairwise LPs
+start from the multi-marginal plan projected onto (barycenter atom, atom
+of mu_i), completed to a spanning tree.  A start changes only the path, so both
 checks still certify their answers in full: every translated meeting
 point meets the Newton tolerance at the translated points, and every LP
 optimum is proven by pricing all tuples on a fresh basis inverse.  What
@@ -247,7 +249,7 @@ def run_verification(
         DiscreteMeasure(mu.points + shift, mu.weights) for mu in mus
     )
     shifted_result = solve_mmot(
-        shifted, p, max_grid=max_grid, _start=(result.grid_barycenters + shift, result._basis)
+        shifted, p, max_grid=max_grid, _start=(result.grid_barycenters + shift, result._basis, result._exact)
     )
     value_shift = abs(shifted_result.value - result.value) / scale
     moved = canonicalize(

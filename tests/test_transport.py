@@ -7,6 +7,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from baryflow import (
     ConvergenceError,
@@ -16,6 +18,7 @@ from baryflow import (
     NonFiniteCoordinateError,
     ProductGridError,
     barycenter_point,
+    batch_barycenters,
     c_transform,
     canonicalize,
     dual_feasibility_check,
@@ -23,6 +26,7 @@ from baryflow import (
     measures_close,
     pairwise_cost_matrix,
     random_marginals,
+    run_verification,
     solve_mmot,
     solve_pairwise,
     stationarity_residual,
@@ -266,6 +270,70 @@ class TestMmot:
         rng = np.random.default_rng(17)
         with pytest.raises(DimensionMismatchError):
             solve_mmot([random_measure(rng, 3, 2), random_measure(rng, 3, 1)], 2.0)
+
+
+def full_grid_solve(mus: list[DiscreteMeasure], p: float) -> tuple[np.ndarray, float]:
+    """Tuple costs from Newton on every grid tuple, in the instance's frame,
+    and the transport simplex's value on them."""
+    mus = tuple(mus)
+    sizes = tuple(len(mu) for mu in mus)
+    indices = np.indices(sizes).reshape(len(sizes), -1).T
+    centre, size = transport._frame(mus)
+    _, costs, _ = batch_barycenters((transport._tuple_points(mus, indices) - centre) / size, p)
+    costs = costs * size**p
+    return costs, transport._transport_simplex(costs.reshape(sizes), [mu.weights for mu in mus])[2]
+
+
+class TestLazyCosts:
+    # solve_mmot runs Newton only on the tuples its LP can use; the others
+    # keep a lower bound at their mean that stays above their dual sum.
+    # Below p = 1.01 the dual check's own bound can overflow at an exact
+    # meeting point (at p = 1 + 2e-16 on a single tuple), lazy or not.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=st.floats(1.01, 4.0),
+        n_marginals=st.sampled_from([2, 3]),
+        n_atoms=st.integers(1, 6),
+        dim=st.sampled_from([1, 2]),
+        scale=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(p=2.0, n_marginals=3, n_atoms=6, dim=2, scale=1.0, seed=0)
+    @example(p=1.2, n_marginals=3, n_atoms=6, dim=2, scale=1e-3, seed=1)
+    def test_value_matches_the_full_grid(self, p, n_marginals, n_atoms, dim, scale, seed):
+        rng = np.random.default_rng(seed)
+        mus = [
+            DiscreteMeasure(scale * rng.uniform(size=(n_atoms, dim)), rng.dirichlet(np.ones(n_atoms)))
+            for _ in range(n_marginals)
+        ]
+        try:
+            costs, reference = full_grid_solve(mus, p)
+        except ConvergenceError:
+            costs = reference = None
+        try:
+            res = solve_mmot(mus, p)
+        except ConvergenceError:
+            # Newton runs on some of the full grid's rows, with the same bits
+            assert reference is None
+            return
+        if reference is not None:
+            assert res.value == pytest.approx(reference, rel=1e-12, abs=0.0)
+        else:
+            # the objective at each witness bounds its tuple cost from above
+            indices = np.indices(res.plan.support_sizes).reshape(n_marginals, -1).T
+            costs = infconv._objective(transport._tuple_points(tuple(mus), indices), res.grid_barycenters, p)
+        assert dual_feasibility_check(res).max_violation <= 1e-9 * costs.max()
+
+    def test_unconverged_off_basis_tuple_no_longer_fails_the_solve(self):
+        # on this p = 1.2 grid Newton leaves one tuple of 512 above the
+        # tolerance, a tuple the LP never needs
+        rng = np.random.default_rng(11)
+        mus = [DiscreteMeasure(rng.uniform(size=(8, 2)), rng.dirichlet(np.ones(8))) for _ in range(3)]
+        with pytest.raises(ConvergenceError, match="^1 of 512 barycenters unconverged"):
+            full_grid_solve(mus, 1.2)
+        res = solve_mmot(mus, 1.2)
+        assert_certified(res)
+        assert run_verification(mus, 1.2).passed
 
 
 class TestScalingLaw:

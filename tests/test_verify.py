@@ -182,21 +182,34 @@ class TestRunVerification:
         reference = exhaustive_mmot_value([mu.points for mu in unit], [mu.weights for mu in unit], costs)
         assert rep.values["mmot"] == pytest.approx(s**p * reference, rel=1e-8, abs=0.0)
 
-    def test_one_newton_grid_per_solve(self, monkeypatch):
-        # the solve and the translated re-solve; the dual certificate
-        # reuses the solve's meeting points
-        sizes = []
+    def test_newton_runs_on_each_grid_tuple_at_most_once_per_solve(self, monkeypatch):
+        # each solve refines only the tuples its LP can use, none twice,
+        # and the dual certificate reuses the solve's meeting points
+        batches = []
         original = transport.batch_barycenters
 
+        def staged(fn):
+            def run(*args, **kwargs):
+                batches.append([])
+                return fn(*args, **kwargs)
+
+            return run
+
         def counted(points, p, **kwargs):
-            sizes.append(len(points))
+            batches[-1].append(np.asarray(points).reshape(len(points), -1))
             return original(points, p, **kwargs)
 
         monkeypatch.setattr(transport, "batch_barycenters", counted)
-        monkeypatch.setattr(flows, "batch_barycenters", counted)
+        monkeypatch.setattr(verify, "solve_mmot", staged(verify.solve_mmot))
+        monkeypatch.setattr(verify, "dual_feasibility_check", staged(verify.dual_feasibility_check))
         rep = run_verification(random_marginals(48, 3, 4, 2), 1.5)
         assert rep.passed, rep.failing()
-        assert sizes.count(4**3) == 2
+        first, dual, translated = batches
+        assert dual == []
+        for solve in (first, translated):
+            rows = np.concatenate(solve)
+            assert len(np.unique(rows, axis=0)) == len(rows)
+            assert 0 < len(rows) < 4**3
 
     @pytest.mark.parametrize("seed", [50, 53])
     @pytest.mark.parametrize("scale", [1e-3, 1.0])
