@@ -19,7 +19,11 @@ Both are transportation LPs over a product grid of atom indices (the
 pairwise one is the case N = 2) and share one plan type and one
 transport simplex, which
 never forms a constraint matrix and keeps the inverse of its small basis
-with plain numpy (a revised simplex with a product-form inverse).
+with plain numpy (a revised simplex with a product-form inverse).  A
+cold solve starts from the north-west staircase over each marginal's
+atoms in the order of their projection on the supports' principal axis;
+on the line that is the comonotone plan, which is optimal, so the
+simplex only proves it.
 """
 
 from __future__ import annotations
@@ -177,26 +181,59 @@ class DualCertificate:
 # transport simplex
 # ---------------------------------------------------------------------------
 
-def _northwest_corner(weights: list[np.ndarray]) -> np.ndarray:
+def _northwest_corner(weights: list[np.ndarray], orders: list[np.ndarray]) -> np.ndarray:
     """Staircase of ``sum(n_k) - N + 1`` index tuples, shape (R, N).
 
-    Each step advances one index: among those that can still move, the
-    one whose current atom has the least remaining mass.  Every new tuple
-    brings in one new atom, so the 0/1 basis it spans is triangular and
-    nonsingular even when steps are degenerate.
+    Marginal k's atoms are walked in the order ``orders[k]``, and the
+    tuples are returned in input indices.  Each step advances one index:
+    among those that can still move, the one whose current atom has the
+    least remaining mass.  Every new tuple brings in one new atom, so
+    whatever the orders, the 0/1 basis it spans is triangular and
+    nonsingular even when steps are degenerate, and its masses are
+    nonnegative: a feasible start.
     """
     sizes = [len(w) for w in weights]
     idx = [0] * len(sizes)
-    left = [float(w[0]) for w in weights]
+    left = [float(w[order[0]]) for w, order in zip(weights, orders)]
     staircase = [tuple(idx)]
     for _ in range(sum(sizes) - len(sizes)):
         step = min((k for k, n in enumerate(sizes) if idx[k] < n - 1), key=left.__getitem__)
         moved = left[step]
         left = [mass - moved for mass in left]
         idx[step] += 1
-        left[step] = float(weights[step][idx[step]])
+        left[step] = float(weights[step][orders[step][idx[step]]])
         staircase.append(tuple(idx))
-    return np.array(staircase)
+    walked = np.array(staircase)
+    return np.column_stack([order[walked[:, k]] for k, order in enumerate(orders)])
+
+
+def _axis_staircase(marginals: tuple[DiscreteMeasure, ...]) -> np.ndarray:
+    """Flat grid indices of the staircase along the supports' principal axis.
+
+    Each marginal's atoms are walked in the order of their projection on
+    the top right singular vector of the pooled points, centred on their
+    weighted mean and weighted by the square roots of the weights (ties
+    keep the input order).  On the line the projection is the coordinate,
+    and the staircase over atoms sorted by coordinate is the comonotone
+    plan, optimal for a submodular cost such as the infimal convolution
+    of power costs with p > 1 (Carlier 2003; Pass 2015).  In the plane it
+    is a start much nearer the optimum than the staircase in input order.
+    """
+    sizes = tuple(len(mu) for mu in marginals)
+    points = np.concatenate([mu.points for mu in marginals])
+    weights = np.concatenate([mu.weights for mu in marginals])
+    # Divided by the largest |coordinate| first, so neither the centring
+    # nor the SVD can overflow; the axis does not depend on the scale.
+    largest = np.abs(points).max(initial=0.0)
+    if largest > 0.0:
+        points = points / largest
+    centred = points - weights @ points / weights.sum()
+    root = np.sqrt(np.maximum(weights, 0.0))
+    axis = np.linalg.svd(root[:, None] * centred, full_matrices=False)[2][0]
+    projected = np.split(centred @ axis, np.cumsum(sizes)[:-1])
+    orders = [np.argsort(proj, kind="stable") for proj in projected]
+    staircase = _northwest_corner([mu.weights for mu in marginals], orders)
+    return np.ravel_multi_index(staircase.T, sizes)
 
 
 def _transport_simplex(
@@ -224,9 +261,11 @@ def _transport_simplex(
 
     ``start`` is an optional starting basis, R flat tuple indices.  It is
     used only if its basis matrix is nonsingular and no basic mass lies
-    below ``-_HARRIS_TOL``; otherwise the north-west staircase is.  A
-    start changes only the path: the optimum is still proven by pricing
-    every tuple on a fresh inverse.
+    below ``-_HARRIS_TOL``; otherwise the north-west staircase in input
+    order is.  The cold solves pass the staircase along the principal
+    axis (:func:`_axis_staircase`), which is always accepted, and the
+    warm ones an earlier basis.  A start changes only the path: the
+    optimum is still proven by pricing every tuple on a fresh inverse.
 
     Returns the ascending C-order flat indices of the tuples with mass
     above ``MASS_CUTOFF``, their masses, the optimal value, one potential
@@ -283,7 +322,7 @@ def _transport_simplex(
             if (inverse[:, :n_rows] @ b).min() < -_HARRIS_TOL:
                 basis = None
     if basis is None:
-        basis = np.ravel_multi_index(_northwest_corner(weights).T, sizes)
+        basis = np.ravel_multi_index(_northwest_corner(weights, [np.arange(n) for n in sizes]).T, sizes)
         inverse = inverse_of(basis)
     updates = 0
     duals = np.zeros(n_rows + 1)
@@ -412,7 +451,9 @@ def solve_pairwise(
 
     The transportation LP has one variable per atom pair and one
     constraint per atom; the target's last constraint is redundant and
-    dropped, so its potential is zero at the last target atom.
+    dropped, so its potential is zero at the last target atom.  The
+    simplex starts from :func:`_axis_staircase`, which on the line is
+    already optimal.
     """
     validate_measure(mu)
     validate_measure(nu)
@@ -420,7 +461,7 @@ def solve_pairwise(
     sizes = (len(mu), len(nu))
     cost = pairwise_cost_matrix(mu.points, nu.points, p)
     # A private start (atom pairs, heaviest first) is completed to a basis.
-    start = None if _start is None else _spanning_tree(cost, _start)
+    start = _axis_staircase((mu, nu)) if _start is None else _spanning_tree(cost, _start)
     support, masses, value, potentials, _ = _transport_simplex(cost, [mu.weights, nu.weights], start)
     plan = MultiPlan(2, sizes, np.column_stack(np.unravel_index(support, sizes)), masses)
     return PairwiseResult(plan=plan, value=value, potentials=potentials, p=p)
@@ -536,6 +577,7 @@ def solve_mmot(
     within the pricing tolerance: the optimum is proven on the whole
     grid, as if every cost were exact.
 
+    Without a start the first LP starts from :func:`_axis_staircase`.
     A private ``_start`` of grid witness points, a basis and the mask of
     computed tuples (from a solve with the same weights) computes those
     tuples first, from those points, and starts the simplex at that
@@ -571,7 +613,7 @@ def solve_mmot(
         )
     indices = np.indices(sizes).reshape(len(sizes), total).T
     cold = _start is None
-    start_points, basis, pending = (None, None, np.zeros(total, dtype=bool)) if cold else _start
+    start_points, basis, pending = (None, _axis_staircase(mus), np.zeros(total, dtype=bool)) if cold else _start
     centre, size = _frame(mus)
     points = (_tuple_points(mus, indices) - centre) / size
     if start_points is not None:

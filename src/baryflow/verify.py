@@ -30,7 +30,7 @@ point meets the Newton tolerance at the translated points, and every LP
 optimum is proven by pricing all tuples on a fresh basis inverse.  What
 they no longer exercise is the cold path a second time: the translation
 check no longer shows that Newton from the tuple means and the simplex
-from the north-west staircase reach the same answer on the shifted
+from the axis staircase reach the same answer on the shifted
 instance (tied optima now tend to land on the first solve's vertex),
 and the functional no longer shows that a pairwise LP from the
 staircase reaches the multi-marginal value.

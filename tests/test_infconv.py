@@ -20,7 +20,7 @@ from baryflow import (
 )
 from baryflow import infconv
 
-from .oracles import pinned_polish_loop
+from .oracles import pinned_polish_loop, tuple_cost_minimize
 
 # Reference minima computed with a derivative-free method and an
 # independent 1-d grid search (step 1e-6, then golden-section polish).
@@ -166,6 +166,14 @@ class TestBatch:
             assert np.array_equal(val[i : i + 1], val_i)
             assert np.array_equal(grad[i : i + 1], grad_i)
 
+    def test_quadratic_barycenter_is_numpys_mean_bit_for_bit(self):
+        # the tuple means are summed one slice at a time; for fewer than 8
+        # points that is numpy's own order, so the bits are numpy's
+        rng = np.random.default_rng(23)
+        for n_points in range(1, 8):
+            pts = rng.normal(size=(50, n_points, 2)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(50, n_points, 2))
+            assert np.array_equal(batch_barycenters(pts, 2.0)[0], pts.mean(axis=1))
+
     def test_empty_batch(self):
         z, val, grad = batch_barycenters(np.zeros((0, 3, 2)), 1.5)
         assert z.shape == (0, 2)
@@ -302,6 +310,22 @@ class TestBatch:
         _, _, grad = batch_barycenters(pts, 1.2)
         assert len(calls) < 100
         assert grad.max() < 1e-8
+
+    def test_full_step_that_raises_the_objective_is_searched(self):
+        # a grid tuple of a p = 1.2, N = 4 benchmark instance (in its
+        # frame): full steps that cut the gradient norm but raised the
+        # objective alternated with descending line searches, and the row
+        # ended 200 iterations about 0.1 from its minimizer, unconverged
+        pts = np.array(
+            [
+                [0.024224445661501802, -0.4547054408782098],
+                [-0.03576979980372463, -0.3129963116521549],
+                [-0.3090320146799323, 0.45741510855509565],
+                [0.015139532490341896, -0.30452925722549],
+            ]
+        )
+        _, val, _ = batch_barycenters(pts[None], 1.2)
+        assert val[0] == pytest.approx(tuple_cost_minimize(pts, 1.2), rel=1e-12)
 
 
 class TestWarmStart:

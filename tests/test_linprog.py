@@ -15,7 +15,7 @@ import pytest
 import scipy.optimize
 import scipy.sparse
 
-from baryflow import CycleLimitError, NonFiniteCoordinateError, random_marginals, solve_mmot
+from baryflow import CycleLimitError, DiscreteMeasure, NonFiniteCoordinateError, random_marginals, solve_mmot
 from baryflow import transport
 from baryflow.transport import _transport_simplex
 
@@ -68,9 +68,9 @@ def counted_staircases(monkeypatch) -> list:
     calls = []
     original = transport._northwest_corner
 
-    def counted(weights):
+    def counted(weights, orders):
         calls.append(len(weights))
-        return original(weights)
+        return original(weights, orders)
 
     monkeypatch.setattr(transport, "_northwest_corner", counted)
     return calls
@@ -219,6 +219,57 @@ class TestStartingBasis:
             assert value == cold[2]
             assert all(np.array_equal(a, b) for a, b in zip(potentials, cold[3]))
         assert len(staircases) == 2
+
+
+class TestAxisStart:
+    # The tied p = 2 instance on the 3x3 integer lattice of the benchmark's
+    # wide workload: several optimal vertices.
+    LATTICE = (
+        ((1, 0), (0, 0), (0, 1), (2, 0)),
+        ((1, 1), (0, 0), (2, 1), (1, 2)),
+        ((0, 0), (0, 1), (2, 2), (2, 0)),
+    )
+
+    @staticmethod
+    def plane_marginals(case: str, seed: int) -> list[DiscreteMeasure]:
+        rng = np.random.default_rng(seed)
+        if case == "lattice":
+            return [DiscreteMeasure(np.array(pts, dtype=float), np.full(4, 0.25)) for pts in TestAxisStart.LATTICE]
+        sizes = {"random": (5, 6, 4), "one_atom": (5, 1, 6), "coincident": (3, 4, 2)}[case]
+        mus = [DiscreteMeasure(rng.uniform(-1.0, 1.0, size=(n, 2)), random_weights(rng, n)) for n in sizes]
+        if case == "coincident":
+            # every point is the same: the centred points are zero and the
+            # principal axis is arbitrary
+            mus = [DiscreteMeasure(np.tile([0.3, -0.7], (len(mu), 1)), mu.weights) for mu in mus]
+        return mus
+
+    @pytest.mark.parametrize(
+        "case, seed",
+        [("random", 41), ("random", 42), ("random", 43), ("one_atom", 44), ("coincident", 45), ("lattice", 0)],
+    )
+    def test_value_equals_the_input_order_start_and_highs(self, monkeypatch, case, seed):
+        mus = self.plane_marginals(case, seed)
+        sizes = tuple(len(mu) for mu in mus)
+        weights = [mu.weights for mu in mus]
+        costs = quadratic_grid_costs([mu.points for mu in mus])
+        staircases = counted_staircases(monkeypatch)
+        start = transport._axis_staircase(mus)
+        assert len(start) == sum(sizes) - len(sizes) + 1
+        _, _, axis_value, _, _ = _transport_simplex(costs, weights, start)
+        # the axis staircase is always accepted: no fallback staircase
+        assert len(staircases) == 1
+        _, _, input_value, _, _ = _transport_simplex(costs, weights)
+        assert len(staircases) == 2
+        ref = highs_value(costs, marginal_rows(sizes), np.concatenate(weights))
+        assert axis_value == pytest.approx(input_value, rel=1e-12, abs=1e-15)
+        assert axis_value == pytest.approx(ref, rel=1e-12, abs=1e-15)
+
+    def test_staircase_walks_the_given_orders_in_input_indices(self):
+        weights = [np.array([0.5, 0.3, 0.2]), np.array([0.4, 0.6])]
+        orders = [np.array([2, 0, 1]), np.array([1, 0])]
+        staircase = transport._northwest_corner(weights, orders)
+        # sorted masses (0.2, 0.5, 0.3) against (0.6, 0.4)
+        assert staircase.tolist() == [[2, 1], [0, 1], [0, 0], [1, 0]]
 
 
 class TestCycling:

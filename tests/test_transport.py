@@ -383,6 +383,38 @@ def assert_pairwise_certified(res, mu: DiscreteMeasure, nu: DiscreteMeasure) -> 
 class TestTransportSimplex:
     """The one transport simplex behind both the pairwise and the joint LP."""
 
+    # On the line every tuple cost here is submodular, so the comonotone
+    # plan is optimal, and the staircase over atoms sorted by coordinate
+    # is that plan: the cold solves start at an optimal basis and take no
+    # pivot, so the basis returned is the start.
+    @pytest.mark.parametrize("n_marginals", [3, 4])
+    def test_line_mmot_starts_at_its_optimal_basis(self, n_marginals):
+        rng = np.random.default_rng(70 + n_marginals)
+        mus = [random_measure(rng, int(rng.integers(5, 9)), 1, uniform=False) for _ in range(n_marginals)]
+        res = solve_mmot(mus, 2.0)
+        assert set(res._basis.tolist()) == set(transport._axis_staircase(mus).tolist())
+        assert_certified(res)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_line_pairwise_starts_at_its_optimal_basis(self, monkeypatch, p):
+        rng = np.random.default_rng(72)
+        mu, nu = random_measure(rng, 9, 1, uniform=False), random_measure(rng, 7, 1, uniform=False)
+        seen = []
+        original = transport._transport_simplex
+
+        def recorded(costs, weights, start=None):
+            out = original(costs, weights, start)
+            seen.append((start, out[4]))
+            return out
+
+        monkeypatch.setattr(transport, "_transport_simplex", recorded)
+        pair = solve_pairwise(mu, nu, p)
+        [(start, basis)] = seen
+        assert set(basis.tolist()) == set(start.tolist())
+        assert pair.value == pytest.approx(
+            pairwise_value_linprog(mu.points, mu.weights, nu.points, nu.weights, p), rel=1e-12
+        )
+
     @pytest.mark.parametrize("seed", range(10))
     def test_random_instances_match_highs(self, seed):
         rng = np.random.default_rng(1000 + seed)
@@ -465,7 +497,8 @@ class TestTransportSimplex:
 
     def test_singular_basis_error_names_grid_and_pivots(self, monkeypatch):
         # the first basis inverse is formed; the next one, after some
-        # pivots, is reported singular
+        # pivots, is reported singular (on this instance the axis staircase
+        # is not optimal, so the cold solve pivots)
         real_inv, calls = np.linalg.inv, []
 
         def inv_once(matrix):
@@ -475,7 +508,7 @@ class TestTransportSimplex:
             return real_inv(matrix)
 
         monkeypatch.setattr(np.linalg, "inv", inv_once)
-        rng = np.random.default_rng(20)
+        rng = np.random.default_rng(21)
         mu, nu = random_measure(rng, 3, 2, uniform=False), random_measure(rng, 4, 2, uniform=False)
         with pytest.raises(CycleLimitError, match=r"singular on the 3x4 grid after [1-9]\d* pivots"):
             solve_pairwise(mu, nu, 2.0)
