@@ -13,6 +13,17 @@ active at one early iteration and at the last one, and finishes the rows
 it brings within the tolerance.  Everything is vectorized over batches
 of tuples because the transport layer needs barycenters for every point
 of a product grid.
+
+The private helpers take such a batch in the coordinate-major "planes"
+layout: m tuples of N points in d dimensions form an array of shape
+(N, d, m), whose slice ``[i, j]`` holds coordinate j of point i of every
+tuple, contiguous over the batch.  Per-point quantities such as the radii
+are (N, m), and meeting points and residuals (d, m).  Sums over a tuple's
+points or a point's coordinates add whole contiguous slices, left to
+right from zero, as numpy sums a short axis of the row-major (m, N, d)
+layout, so the results have the same bits in either layout.
+:func:`batch_barycenters` takes and returns the public row-major shapes,
+(m, N, d) and (m, d), and transposes once on entry.
 """
 
 from __future__ import annotations
@@ -122,37 +133,42 @@ class BarycenterResult:
         object.__setattr__(self, "barycenter", _freeze(self.barycenter, float))
 
 
-def _sum_axis1(a: np.ndarray) -> np.ndarray:
-    """``a.sum(axis=1)``, added one slice at a time in index order.
+def _sum_points(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=0)``, added one slice at a time in index order, from zero.
 
-    numpy reduces a short axis 1 slowly.  For fewer than 8 entries its
-    sum is this same left-to-right loop from zero, so the bits match;
-    longer axes (never met by the solvers here, which batch tuples of a
-    few points in the plane or on the line) round differently from
-    numpy's pairwise sum but are just as accurate.
+    The batched helpers here work in the planes layout (see the module
+    docstring), so the leading axis is a tuple's points, or a point's
+    coordinates, and each slice is contiguous over the batch.  numpy's
+    own sum gives the same bits, except on a batch of one row with many
+    points, where it switches to pairwise summation; this loop keeps the
+    bits of every row independent of the batch it is solved in.
     """
-    out = np.zeros(a.shape[:1] + a.shape[2:])
-    for i in range(a.shape[1]):
-        out += a[:, i]
+    out = np.zeros(a.shape[1:])
+    for part in a:
+        out += part
     return out
 
 
 def _norm(a: np.ndarray) -> np.ndarray:
-    """Euclidean norm over the last axis, summed like :func:`_sum_axis1`."""
+    """Euclidean norm over the coordinate axis -2 (planes layout), summed
+    like :func:`_sum_points`."""
     sq = a * a
-    out = np.zeros(a.shape[:-1])
-    for j in range(a.shape[-1]):
-        out += sq[..., j]
+    out = np.zeros(a.shape[:-2] + a.shape[-1:])
+    for j in range(a.shape[-2]):
+        out += sq[..., j, :]
     return np.sqrt(out, out=out)
 
 
 def _objective(points: np.ndarray, z: np.ndarray, p: float) -> np.ndarray:
-    """Batched ``sum_i |x_i - z|^p`` for points (m, N, d), z (m, d)."""
-    return _sum_axis1(_norm(points - z[:, None, :]) ** p)
+    """Batched ``sum_i |x_i - z|^p`` for points (N, d, m), z (d, m)."""
+    out = np.zeros(points.shape[2])
+    for x in points:
+        out += _norm(x - z) ** p
+    return out
 
 
 def _dual_lower_bound(points: np.ndarray, z: np.ndarray, p: float) -> np.ndarray:
-    """Batched lower bound on the tuple cost, for points (m, N, d), z (m, d).
+    """Batched lower bound on the tuple cost, for points (N, d, m), z (d, m).
 
     The conjugate of an infimal convolution is the sum of the conjugates
     (Rockafellar, Convex Analysis, Thm 16.4), ``f*(y) = (p-1) (|y|/p)^(p/(p-1))``
@@ -169,23 +185,30 @@ def _dual_lower_bound(points: np.ndarray, z: np.ndarray, p: float) -> np.ndarray
     largest component; that scaling is exact, so elsewhere it would change
     no bit.
     """
-    diff = points - z[:, None, :]
+    diff = points - z
     return _displacement_lower_bound(diff, _norm(diff), p)
 
 
 def _displacement_lower_bound(diff: np.ndarray, r: np.ndarray, p: float) -> np.ndarray:
-    """:func:`_dual_lower_bound` from the displacements ``x_i - z`` and their norms."""
+    """:func:`_dual_lower_bound` from the displacements ``x_i - z`` (N, d, m)
+    and their norms (N, m), one point at a time."""
     safe = np.where(r > 0.0, r, 1.0)
-    y = np.where(r > 0.0, p * safe ** (p - 2.0), 0.0)[:, :, None] * diff
-    y -= (_sum_axis1(y) / y.shape[1])[:, None, :]
-    t = _norm(y)
-    extreme = (t < 2.0**-510) | (t > 2.0**510)
-    if extreme.any():
-        _, exponent = np.frexp(np.abs(y[extreme]).max(axis=1))
-        t[extreme] = np.ldexp(_norm(np.ldexp(y[extreme], -exponent[:, None])), exponent)
-    t /= p
-    conjugate = (p - 1.0) * t * t ** (1.0 / (p - 1.0))
-    return _sum_axis1((y * diff).sum(axis=2) - conjugate)
+    coeff = np.where(r > 0.0, p * safe ** (p - 2.0), 0.0)
+    mean = _sum_points(coeff[:, None, :] * diff) / len(diff)
+    out = np.zeros(r.shape[1:])
+    for c, x in zip(coeff, diff):
+        y = c * x
+        y -= mean
+        t = _norm(y)
+        extreme = (t < 2.0**-510) | (t > 2.0**510)
+        if extreme.any():
+            far = y.compress(extreme, axis=1)
+            _, exponent = np.frexp(np.abs(far).max(axis=0))
+            t[extreme] = np.ldexp(_norm(np.ldexp(far, -exponent)), exponent)
+        t /= p
+        y *= x
+        out += _sum_points(y) - (p - 1.0) * t * t ** (1.0 / (p - 1.0))
+    return out
 
 
 def _gradient_state(points: np.ndarray, z: np.ndarray, p: float):
@@ -193,14 +216,15 @@ def _gradient_state(points: np.ndarray, z: np.ndarray, p: float):
 
     The residual is ``sum_i p r_i^(p-2) (x_i - z)``, the negative of the
     objective gradient; ``scale = 1 + sum_i r_i^(p-1)`` normalizes it.
-    The displacements are ``x_i - z``, shape (m, N, d).
+    Points are (N, d, m) and z (d, m); the displacements ``x_i - z`` are
+    (N, d, m), the radii (N, m) and the residual (d, m).
     """
-    diff = points - z[:, None, :]
+    diff = points - z
     r = _norm(diff)
     safe = np.where(r > 0.0, r, 1.0)
     coeff = np.where(r > 0.0, p * safe ** (p - 2.0), 0.0)
-    resid = _sum_axis1(coeff[:, :, None] * diff)
-    scale = 1.0 + _sum_axis1(r ** (p - 1.0))
+    resid = _sum_points(coeff[:, None, :] * diff)
+    scale = 1.0 + _sum_points(r ** (p - 1.0))
     return resid, _norm(resid), scale, r, diff
 
 
@@ -222,9 +246,9 @@ def _start_state(points: np.ndarray, p: float):
     finite radius can overflow in the power or the squared residual.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        z = _sum_axis1(points) / points.shape[1]
+        z = _sum_points(points) / len(points)
         state = _gradient_state(points, z, p)
-        value = _sum_axis1(state[3] ** p)
+        value = _sum_points(state[3] ** p)
     bad = ~(np.isfinite(state[1]) & np.isfinite(state[2]) & np.isfinite(value))
     if bad.any():
         raise NonFiniteCoordinateError(
@@ -236,11 +260,12 @@ def _start_state(points: np.ndarray, p: float):
 
 
 def _mean_bounds(points: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tuple means, and a lower and an upper bound on each tuple cost there.
+    """Tuple means (d, m), and a lower and an upper bound on each tuple cost there.
 
-    The upper bound is the objective at the mean and the lower one
-    :func:`_dual_lower_bound` there, capped at the upper one (it can be
-    ``-inf`` for p near 1).  Raises as :func:`_start_state` does.
+    ``points`` is (N, d, m).  The upper bound is the objective at the mean
+    and the lower one :func:`_dual_lower_bound` there, capped at the upper
+    one (it can be ``-inf`` for p near 1).  Raises as :func:`_start_state`
+    does.
     """
     z, state, upper = _start_state(points, p)
     with np.errstate(over="ignore"):
@@ -280,11 +305,15 @@ def batch_barycenters(
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 3:
         raise DimensionMismatchError(f"expected a (m, N, d) batch, got shape {pts.shape}")
-    m = pts.shape[0]
+    # Solved in the planes layout (see the module docstring); a batch that
+    # is a transposed view of one, as the transport layer passes, is not
+    # copied.
+    pts = np.ascontiguousarray(pts.transpose(1, 2, 0))
+    m = pts.shape[2]
 
     z, state, start_value = _start_state(pts, p)
     if p == 2.0:
-        return z, start_value, state[1]
+        return z.T, start_value, state[1]
     state = list(state)
 
     values = np.zeros(m)
@@ -296,22 +325,24 @@ def batch_barycenters(
         # first pinned-point finish keep their point; every other row is
         # solved from its tuple mean below, and since rows are computed
         # independently, it gets the bits it would get without a start.
-        z_start = np.array(_start, dtype=float)
+        z_start = np.array(np.asarray(_start, dtype=float).T, order="C")
         with np.errstate(over="ignore", invalid="ignore"):
             start = _gradient_state(pts, z_start, p)
         live = np.flatnonzero(np.isfinite(start[1]) & np.isfinite(start[2]))
-        start = [part[live] for part in start]
-        unsettled, _ = _newton(pts[live], z_start, start, p, live, _PINNED_AFTER, values, grad_norms)
+        start = [part.take(live, axis=-1) for part in start]
+        unsettled, _ = _newton(
+            pts.take(live, axis=2), z_start, start, p, live, _PINNED_AFTER, values, grad_norms
+        )
         settled = np.zeros(m, dtype=bool)
         settled[live] = True
         settled[unsettled] = False
-        z[settled] = z_start[settled]
+        z[:, settled] = z_start[:, settled]
         rows = np.flatnonzero(~settled)
-        pts, state = pts[rows], [part[rows] for part in state]
+        pts, state = pts.take(rows, axis=2), [part.take(rows, axis=-1) for part in state]
     unconverged, residuals = _newton(pts, z, state, p, rows, DEFAULT_MAX_ITER, values, grad_norms)
     if unconverged.size:
         raise _unconverged_error(unconverged.size, m, float(residuals.max()))
-    return z, values, grad_norms
+    return z.T, values, grad_norms
 
 
 def _unconverged_error(count: int, batch: int, worst: float) -> ConvergenceError:
@@ -341,15 +372,16 @@ def _newton(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton with the pinned-point finish on the rows ``idx`` of a batch.
 
-    ``x`` holds the points of those rows and ``state`` their gradient
-    state at ``z[idx]``, a list that is overwritten as the rows move, so
-    the caller does not keep the first state alive through the iteration.
-    A row that meets the tolerance has its point, value and residual norm
-    written into ``z``, ``values`` and ``grad_norms``.  The pinned-point
-    finish is tried at iterations ``_PINNED_AFTER`` and ``stop``, after
-    which the rows still unfinished are returned with their residual norms.
+    ``x`` holds the points of those rows, (N, d, len(idx)), and ``state``
+    their gradient state at ``z[:, idx]``, a list that is overwritten as
+    the rows move, so the caller does not keep the first state alive
+    through the iteration.  A row that meets the tolerance has its point,
+    value and residual norm written into ``z``, ``values`` and
+    ``grad_norms``.  The pinned-point finish is tried at iterations
+    ``_PINNED_AFTER`` and ``stop``, after which the rows still unfinished
+    are returned with their residual norms.
     """
-    eye = np.eye(x.shape[2])
+    eye = np.eye(x.shape[1])
 
     # One gradient state is evaluated per iteration: the state at the
     # trial point is the next iteration's state for the rows that take it,
@@ -363,7 +395,7 @@ def _newton(
         finished = _met(resid_norm, scale)
         if finished.any():
             done = idx[finished]
-            values[done] = _sum_axis1(r[finished] ** p)
+            values[done] = _sum_points(r.compress(finished, axis=1) ** p)
             grad_norms[done] = resid_norm[finished]
         if it in (_PINNED_AFTER, stop) and not finished.all():
             # The pinned-point finish: a row stops here only if its
@@ -371,42 +403,47 @@ def _newton(
             # from its own iterate and state, unless the budget is spent.
             live = np.flatnonzero(~finished)
             z_p, norm_p, scale_p, r_p = _pinned_polish(
-                x[live], z[idx[live]], tuple(part[live] for part in state), p
+                x.take(live, axis=2),
+                z.take(idx[live], axis=1),
+                tuple(part.take(live, axis=-1) for part in state),
+                p,
             )
             polished = _met(norm_p, scale_p)
             if polished.any():
                 done = idx[live[polished]]
-                z[done] = z_p[polished]
-                values[done] = _sum_axis1(r_p[polished] ** p)
+                z[:, done] = z_p.compress(polished, axis=1)
+                values[done] = _sum_points(r_p.compress(polished, axis=1) ** p)
                 grad_norms[done] = norm_p[polished]
                 finished[live[polished]] = True
             if it == stop:
                 return idx[live[~polished]], norm_p[~polished]
         if finished.any():
             keep = ~finished
-            idx, x = idx[keep], x[keep]
-            state[:] = [part[keep] for part in state]
+            idx, x = idx[keep], x.compress(keep, axis=2)
+            state[:] = [part.compress(keep, axis=-1) for part in state]
             resid, resid_norm, scale, r, diff = state
         if idx.size == 0:
             break
-        zz = z[idx]
+        zz = z.take(idx, axis=1)
 
         # Newton step on the remaining rows.  The Hessian of the
         # objective is p sum_i r^(p-2) (I + (p-2) u u^T) with u the unit
         # displacement, positive definite for every p > 1.  The
         # regularization is 1e-12 of the trace, so it follows the
-        # curvature at every scale.
+        # curvature at every scale.  It is summed as (d, d, m) planes and
+        # solved as the (m, d, d) stack they transpose to.
         safe = np.where(r > 0.0, r, 1.0)
         iso = np.where(r > 0.0, p * safe ** (p - 2.0), 0.0)
-        u = np.where(r[:, :, None] > 0.0, diff / np.where(r[:, :, None] > 0.0, r[:, :, None], 1.0), 0.0)
-        terms = (p - 2.0) * u[:, :, :, None] * u[:, :, None, :]
-        terms += eye
-        terms *= iso[:, :, None, None]
-        hess = _sum_axis1(terms)
+        moved = (r > 0.0)[:, None, :]
+        u = np.where(moved, diff / np.where(moved, r[:, None, :], 1.0), 0.0)
+        terms = (p - 2.0) * u[:, :, None, :] * u[:, None, :, :]
+        terms += eye[:, :, None]
+        terms *= iso[:, None, None, :]
+        hess = _sum_points(terms).transpose(2, 0, 1)
         trace = np.trace(hess, axis1=1, axis2=2)
         hess += (1e-12 * trace)[:, None, None] * eye
-        step = np.linalg.solve(hess, resid[:, :, None])[:, :, 0]
-        descent = _sum_axis1(resid * step)
+        step = np.linalg.solve(hess, resid.T[:, :, None])[:, :, 0].T
+        descent = _sum_points(resid * step)
 
         # Full Newton steps are accepted outright when they shrink the
         # gradient norm and raise the objective by no more than rounding
@@ -422,18 +459,20 @@ def _newton(
         search = (try_norm > 0.9 * resid_norm) | ~np.isfinite(try_scale)
         full = np.flatnonzero(~search)
         with np.errstate(over="ignore", invalid="ignore"):
-            climbs = _sum_axis1(try_r[full] ** p) > _sum_axis1(r[full] ** p) * (1.0 + _RISE_TOL)
+            rise = _sum_points(r.take(full, axis=1) ** p) * (1.0 + _RISE_TOL)
+            climbs = _sum_points(try_r.take(full, axis=1) ** p) > rise
         search[full[climbs]] = True
         if search.any():
             # Armijo backtracking, on the rows where the full step fails
             # the sufficient-decrease test.  The trial state holds the
             # radii at the full step, so its objective costs no new norm.
             rows = np.flatnonzero(search)
-            obj = _sum_axis1(r[rows] ** p)
-            short = _sum_axis1(try_r[rows] ** p) > obj - _ARMIJO * descent[rows]
+            obj = _sum_points(r.take(rows, axis=1) ** p)
+            short = _sum_points(try_r.take(rows, axis=1) ** p) > obj - _ARMIJO * descent[rows]
             if short.any():
                 rows, obj = rows[short], obj[short]
-                x_s, zz_s, step_s, descent_s = x[rows], zz[rows], step[rows], descent[rows]
+                x_s, zz_s = x.take(rows, axis=2), zz.take(rows, axis=1)
+                step_s, descent_s = step.take(rows, axis=1), descent[rows]
                 t = np.ones(len(rows))
                 z_s = zz_s.copy()
                 obj_s = obj.copy()
@@ -442,14 +481,14 @@ def _newton(
                     if not need.any():
                         break
                     t[need] *= 0.5
-                    z_s[need] = zz_s[need] + t[need, None] * step_s[need]
-                    obj_s[need] = _objective(x_s[need], z_s[need], p)
+                    z_s[:, need] = zz_s[:, need] + t[need] * step_s[:, need]
+                    obj_s[need] = _objective(x_s.compress(need, axis=2), z_s[:, need], p)
                     need = obj_s > obj - _ARMIJO * t * descent_s
-                z_s[need] = zz_s[need]
-                z_try[rows] = z_s
+                z_s[:, need] = zz_s[:, need]
+                z_try[:, rows] = z_s
                 for part, fresh in zip(state, _gradient_state(x_s, z_s, p)):
-                    part[rows] = fresh
-        z[idx] = z_try
+                    part[..., rows] = fresh
+        z[:, idx] = z_try
     return idx, np.zeros(0)
 
 
@@ -470,42 +509,44 @@ def _pinned_polish(
     to infinity (their length overflows for p near 1); a row keeps the
     polished point only if its radii are finite and it lowers the
     residual of its ``state`` at ``z0``, so the step is safe everywhere
-    else, and its overflows are not reported.  Returns the kept points
-    and the residual norm, scale and radii there.
+    else, and its overflows are not reported.  Points are (N, d, m) and
+    ``z0`` (d, m).  Returns the kept points and the residual norm, scale
+    and radii there.
 
     :func:`batch_barycenters` calls it on the rows still active at Newton
     iterations ``_PINNED_AFTER`` and ``DEFAULT_MAX_ITER``, keeping only
     the rows it brings within ``DEFAULT_TOL``.
     """
     _, start_norm, start_scale, start_r, _ = state
-    rows = np.arange(len(points))
-    nearest = start_r.argmin(axis=1)
-    anchors = points[rows, nearest]
+    rows = np.arange(points.shape[2])
+    nearest = start_r.argmin(axis=0)
+    anchors = points[nearest, :, rows].T
     others = np.ones(start_r.shape, dtype=bool)
-    others[rows, nearest] = False
+    others[nearest, rows] = False
     z, norm, scale, r = z0.copy(), start_norm.copy(), start_scale.copy(), start_r.copy()
     todo = rows
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(_POLISH_STEPS):
             if todo.size == 0:
                 break
-            diff = points[todo] - z[todo][:, None, :]
+            x = points.take(todo, axis=2)
+            diff = x - z.take(todo, axis=1)
             radii = _norm(diff)
             safe = np.where(radii > 0.0, radii, 1.0)
-            coeff = np.where(others[todo] & (radii > 0.0), p * safe ** (p - 2.0), 0.0)
-            g = -_sum_axis1(coeff[:, :, None] * diff)
+            coeff = np.where(others.take(todo, axis=1) & (radii > 0.0), p * safe ** (p - 2.0), 0.0)
+            g = -_sum_points(coeff[:, None, :] * diff)
             # a zero rest gradient leaves the point on its atom
             gn = _norm(g)
             gn = np.where(gn > 0.0, gn, 1.0)
-            z[todo] = anchors[todo] - ((gn / p) ** (1.0 / (p - 1.0)))[:, None] * (g / gn[:, None])
-            _, norm[todo], scale[todo], r[todo], _ = _gradient_state(points[todo], z[todo], p)
+            z[:, todo] = anchors.take(todo, axis=1) - (gn / p) ** (1.0 / (p - 1.0)) * (g / gn)
+            _, norm[todo], scale[todo], r[:, todo], _ = _gradient_state(x, z.take(todo, axis=1), p)
             todo = todo[norm[todo] > DEFAULT_TOL * scale[todo]]
     better = (norm < start_norm) & np.isfinite(scale)
     return (
-        np.where(better[:, None], z, z0),
+        np.where(better, z, z0),
         np.where(better, norm, start_norm),
         np.where(better, scale, start_scale),
-        np.where(better[:, None], r, start_r),
+        np.where(better, r, start_r),
     )
 
 

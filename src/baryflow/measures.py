@@ -39,7 +39,6 @@ __all__ = [
     "validate_measure",
     "validate_multiplan",
     "canonicalize",
-    "measures_close",
     "measure_to_dict",
     "measure_from_dict",
     "save_measure",
@@ -250,21 +249,6 @@ def canonicalize(m: DiscreteMeasure) -> DiscreteMeasure:
     merged_p = pts[reps]
     order = np.lexsort(merged_p.T[::-1])
     return DiscreteMeasure(merged_p[order], merged_w[order])
-
-
-def measures_close(a: DiscreteMeasure, b: DiscreteMeasure) -> bool:
-    """Whether two measures agree atom-by-atom after canonicalization.
-
-    Coordinates must match within ``MERGE_TOL`` and weights within
-    ``MARGINAL_TOL``.
-    """
-    ca, cb = canonicalize(a), canonicalize(b)
-    if len(ca) != len(cb) or ca.dim != cb.dim:
-        return False
-    return bool(
-        np.abs(ca.points - cb.points).max(initial=0.0) <= MERGE_TOL
-        and np.abs(ca.weights - cb.weights).max(initial=0.0) <= MARGINAL_TOL
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -330,21 +330,24 @@ def _transport_simplex(
     # last buffer is the whole grid and ends up holding the reduced costs.
     partial = [np.empty(sizes[: k + 1]) for k in range(1, len(sizes))]
     reduced = partial[-1].reshape(-1)
+    # Per pivot, the entering tuple's constraint rows are read off its flat
+    # index with Python ints: (C-order stride, size, rows) per marginal.
+    strides = [math.prod(sizes[k + 1 :]) for k in range(len(sizes))]
+    axes = list(zip(strides, sizes, [rows.tolist() for rows in row_of]))
     while True:
         square = inverse[:, :n_rows]
         x_basic = square @ b
         np.matmul(flat_costs[basis], square, out=duals[:n_rows])
-        potentials = [duals[rows] for rows in row_of]
-        summed = potentials[0]
-        for pot, buf in zip(potentials[1:], partial):
-            summed = np.add(summed[..., None], pot, out=buf)
+        summed = duals[row_of[0]]
+        for rows, buf in zip(row_of[1:], partial):
+            summed = np.add(summed[..., None], duals[rows], out=buf)
         np.subtract(costs, summed, out=summed)
         reduced[basis] = 0.0
 
         bland = pivots >= bland_after
         if bland:
             # Bland's rule: lowest-index improving column, guaranteed finite.
-            negatives = np.flatnonzero(reduced < -opt_tol)
+            negatives = (reduced < -opt_tol).nonzero()[0]
             entering = int(negatives[0]) if negatives.size else -1
         else:
             entering = int(reduced.argmin())
@@ -362,9 +365,9 @@ def _transport_simplex(
             raise CycleLimitError(f"no optimum on the {grid} grid after {pivots - 1} pivots")
 
         # The entering column holds a one in the row of each of its atoms.
-        atoms = np.unravel_index(entering, sizes)
-        direction = inverse[:, [rows[atom] for rows, atom in zip(row_of, atoms)]].sum(axis=1)
-        candidates = np.flatnonzero(direction > _RATIO_PIVOT_TOL)
+        cols = [rows[entering // stride % n] for stride, n, rows in axes]
+        direction = np.add.reduce(inverse[:, cols], axis=1)
+        candidates = (direction > _RATIO_PIVOT_TOL).nonzero()[0]
         if not candidates.size:
             # A feasible transport LP is bounded; this means the basis
             # matrix has degenerated numerically.
@@ -372,19 +375,20 @@ def _transport_simplex(
                 f"transport basis lost boundedness on the {grid} grid after {pivots} pivots; "
                 "data is ill-conditioned"
             )
+        pivot = direction[candidates]
         mass = np.maximum(x_basic[candidates], 0.0)
-        ratios = mass / direction[candidates]
+        ratios = mass / pivot
         if bland:
             # Among tied rows leave the lowest variable index.
             ties = candidates[ratios == ratios.min()]
-            leave = ties[np.argmin(basis[ties])]
+            leave = ties[basis[ties].argmin()]
         else:
             # Harris's two passes: bound the step with feasibility relaxed
             # by _HARRIS_TOL, then leave on the largest pivot element among
-            # the rows whose ratio is within that bound.
-            bound = ((mass + _HARRIS_TOL) / direction[candidates]).min()
-            within = candidates[ratios <= bound]
-            leave = within[np.argmax(direction[within])]
+            # the rows whose ratio is within that bound (the first such
+            # row on ties; every pivot element is positive).
+            bound = np.minimum.reduce((mass + _HARRIS_TOL) / pivot)
+            leave = candidates[np.where(ratios <= bound, pivot, -1.0).argmax()]
         basis[leave] = entering
         updates += 1
         if updates == n_rows:
@@ -392,7 +396,7 @@ def _transport_simplex(
         else:
             # Product-form update: eliminate the entering column.
             row = inverse[leave] / direction[leave]
-            inverse -= direction[:, None] * row
+            inverse -= np.multiply.outer(direction, row)
             inverse[leave] = row
 
     if x_basic.min() < -_MASS_DIP_LIMIT:
@@ -403,6 +407,7 @@ def _transport_simplex(
     order = np.argsort(basis)
     support, masses = basis[order], np.maximum(x_basic[order], 0.0)
     keep = masses > MASS_CUTOFF
+    potentials = [duals[rows] for rows in row_of]
     return support[keep], masses[keep], float(flat_costs[support] @ masses), potentials, basis
 
 
@@ -534,6 +539,23 @@ def _tuple_points(marginals: tuple[DiscreteMeasure, ...], indices: np.ndarray) -
     return np.stack([mu.points[indices[:, i]] for i, mu in enumerate(marginals)], axis=1)
 
 
+def _grid_points(atoms: list[np.ndarray]) -> np.ndarray:
+    """Points of every tuple of the product grid, in the planes layout.
+
+    ``atoms[k]`` holds marginal k's points, shape (n_k, d).  The result
+    has shape (N, d, n_1 * ... * n_N): its slice ``[k, j]`` is coordinate j
+    of marginal k's atom in every tuple, in the C order of ``np.indices``,
+    written by broadcasting those n_k values along grid axis k.
+    """
+    sizes = tuple(len(a) for a in atoms)
+    out = np.empty((len(atoms), atoms[0].shape[1], math.prod(sizes)))
+    for k, (a, planes) in enumerate(zip(atoms, out)):
+        axis = [1] * len(sizes)
+        axis[k] = sizes[k]
+        planes.reshape((-1,) + sizes)[...] = a.T.reshape([-1] + axis)
+    return out
+
+
 def _frame(marginals: tuple[DiscreteMeasure, ...]) -> tuple[np.ndarray, float]:
     """Centre of the supports' bounding box and its longest side.
 
@@ -611,25 +633,23 @@ def solve_mmot(
             f"product grid has {total} tuples, above the cap {max_grid}; "
             "raise max_grid explicitly if this size is intended"
         )
-    indices = np.indices(sizes).reshape(len(sizes), total).T
     cold = _start is None
     start_points, basis, pending = (None, _axis_staircase(mus), np.zeros(total, dtype=bool)) if cold else _start
     centre, size = _frame(mus)
-    points = (_tuple_points(mus, indices) - centre) / size
+    points = _grid_points([(mu.points - centre) / size for mu in mus])
     if start_points is not None:
         start_points = (start_points - centre) / size
     weights = [mu.weights for mu in mus]
     grid = "x".join(map(str, sizes))
-    with np.errstate(over="ignore"):
-        scale = np.power(size, p)
     if p == 2.0:
         # The tuple mean is the meeting point: every cost is exact at once.
         barycenters, costs = _grid_costs(points, p, start_points, grid, total)
-        with np.errstate(over="ignore"):
-            costs = costs * scale
+        scale = _cost_scale(size, p, costs, grid)
+        costs = costs * scale
         exact = np.ones(total, dtype=bool)
     else:
         barycenters, lower, upper = _mean_bounds(points, p)
+        scale = _cost_scale(size, p, upper, grid)
         with np.errstate(over="ignore", invalid="ignore"):
             lower, upper = lower * scale, upper * scale
         exact = np.zeros(total, dtype=bool)
@@ -642,7 +662,7 @@ def solve_mmot(
         rows = np.flatnonzero(pending & ~exact)
         if rows.size:
             start = None if start_points is None else start_points[rows]
-            barycenters[rows], refined = _grid_costs(points[rows], p, start, grid, total)
+            barycenters[:, rows], refined = _grid_costs(points.take(rows, axis=2), p, start, grid, total)
             with np.errstate(over="ignore"):
                 costs[rows] = refined * scale
             exact[rows] = True
@@ -650,13 +670,10 @@ def solve_mmot(
         support, masses, value, potentials, basis = _transport_simplex(costs.reshape(sizes), weights, basis)
         if exact.all():
             break
-        summed = potentials[0]
-        for pot in potentials[1:]:
-            summed = np.add.outer(summed, pot)
         # Refine the basic tuples, and those whose reduced cost at the
         # lower bound is below the bounds' gap: as the duals move, they
         # are the likeliest to enter.
-        pending = lower - summed.ravel() < upper - lower
+        pending = lower - _potential_sums(potentials) < upper - lower
         pending[basis] = True
         if estimated:
             estimated = False
@@ -666,13 +683,13 @@ def solve_mmot(
     plan = MultiPlan(
         n_marginals=len(mus),
         support_sizes=sizes,
-        indices=indices[support],
+        indices=np.column_stack(np.unravel_index(support, sizes)),
         masses=masses,
     )
     return MmotResult(
         plan=plan,
         value=value,
-        grid_barycenters=centre + size * barycenters,
+        grid_barycenters=centre + size * barycenters.T,
         potentials=potentials,
         marginals=mus,
         p=p,
@@ -681,20 +698,45 @@ def solve_mmot(
     )
 
 
+def _potential_sums(potentials: list[np.ndarray]) -> np.ndarray:
+    """``sum_k potentials[k][i_k]`` at every grid tuple, flat in C order,
+    added from zero in marginal order."""
+    summed = np.zeros(())
+    for pot in potentials:
+        summed = np.add.outer(summed, pot)
+    return summed.reshape(-1)
+
+
+def _cost_scale(size: float, p: float, frame_costs: np.ndarray, grid: str) -> float:
+    """``size ** p``, the factor from frame costs to costs, once it is
+    known that the largest cost, ``frame_costs.max()`` times it, is finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.power(size, p)
+        top = scale * frame_costs.max()
+    if not np.isfinite(top):
+        raise NonFiniteCoordinateError(
+            f"tuple grid {grid}: costs overflow floating point; the supports span {size:.3e}, "
+            f"so the cost scale {size:.3e}^{p:g} = {scale:.3e} times the largest unit-frame "
+            f"cost {frame_costs.max():.3e} is not finite"
+        )
+    return float(scale)
+
+
 def _grid_costs(
     points: np.ndarray, p: float, start: np.ndarray | None, grid: str, total: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Meeting points and costs of some rows of a tuple grid of ``total``
-    tuples; a ``ConvergenceError`` names the grid."""
+    """Meeting points (d, k) and costs of the k tuples of a grid of
+    ``total`` whose points (N, d, k) are given; a ``ConvergenceError``
+    names the grid."""
     try:
-        barycenters, costs, _ = batch_barycenters(points, p, _start=start)
+        barycenters, costs, _ = batch_barycenters(points.transpose(2, 0, 1), p, _start=start)
     except ConvergenceError as exc:
         raise ConvergenceError(
             f"tuple grid {grid}: {exc.unconverged} of {total} barycenters unconverged after "
             f"{DEFAULT_MAX_ITER} iterations (worst residual {exc.worst_residual:.3e}; "
-            f"Newton ran on {len(points)} of them)"
+            f"Newton ran on {points.shape[2]} of them)"
         ) from exc
-    return barycenters, costs
+    return barycenters.T, costs
 
 
 def stationarity_residual(result: MmotResult) -> float:
@@ -732,13 +774,11 @@ def dual_feasibility_check(result: MmotResult) -> DualCertificate:
     on the plan support, and the duality gap against the reported value.
     """
     mus, sizes, p = result.marginals, result.plan.support_sizes, result.p
-    indices = np.indices(sizes).reshape(len(sizes), -1).T
-    points = _tuple_points(mus, indices)
-    upper = _objective(points, result.grid_barycenters, p)
-    lower = np.minimum(_dual_lower_bound(points, result.grid_barycenters, p), upper)
-    summed = np.zeros(len(indices))
-    for k, pot in enumerate(result.potentials):
-        summed += pot[indices[:, k]]
+    points = _grid_points([mu.points for mu in mus])
+    witnesses = np.ascontiguousarray(result.grid_barycenters.T)
+    upper = _objective(points, witnesses, p)
+    lower = np.minimum(_dual_lower_bound(points, witnesses, p), upper)
+    summed = _potential_sums(result.potentials)
     max_violation = float((summed - lower).max())
 
     pairing = sum(float(pot @ mu.weights) for pot, mu in zip(result.potentials, mus))

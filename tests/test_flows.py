@@ -20,7 +20,6 @@ from baryflow import (
     export_flow_frames,
     extract_barycenter,
     flow_action,
-    measures_close,
     snapshot,
     solve_mmot,
     solve_pairwise,
@@ -29,6 +28,7 @@ from baryflow import (
 )
 from baryflow.flows import _weak_form
 
+from .helpers import measures_close
 from .oracles import continuity_terms_loop
 
 

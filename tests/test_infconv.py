@@ -33,6 +33,21 @@ GRID_CASES = [
 ]
 
 
+# A tuple whose distances overflow when squared, and tuples whose cost at
+# p = 3 overflows although their distances square fine.
+DISTANCE_OVERFLOW = [[0.0, 0.0], [1e160, 0.0]]
+P_THREE_OVERFLOWS = [
+    [[0.0, 0.0], [1e110, 0.0]],
+    [[0.0, 0.0], [1e110, 0.0], [0.0, 1e110]],
+    [[0.0, 0.0], [1e90, 0.0], [0.0, 1e90]],
+]
+
+
+def planes_of(tuples: np.ndarray) -> np.ndarray:
+    """A (m, N, d) batch of tuples in the helpers' (N, d, m) planes layout."""
+    return np.ascontiguousarray(np.transpose(tuples, (1, 2, 0)))
+
+
 class TestExponent:
     @pytest.mark.parametrize("p", [1.0, 0.5, -2.0, np.inf, np.nan])
     def test_bad_exponents_rejected(self, p):
@@ -228,8 +243,10 @@ class TestBatch:
             pts.append(np.vstack([rest, barycenter_point(rest, p).barycenter + offset]))
         pts = np.array(pts)
         z0 = pts[:, -1] + 1e-3 * rng.normal(size=(len(pts), 2))
-        state = infconv._gradient_state(pts, z0, p)
-        z, norm, scale, _ = infconv._pinned_polish(pts, z0, state, p)
+        planes = planes_of(pts)
+        state = infconv._gradient_state(planes, z0.T, p)
+        z, norm, scale, _ = infconv._pinned_polish(planes, z0.T, state, p)
+        z = z.T
         ref = pinned_polish_loop(pts, z0, p, infconv.DEFAULT_TOL)
         assert np.array_equal((z != z0).any(axis=1), (ref != z0).any(axis=1))
         assert np.abs(z - ref).max() <= 1e-13 * (1.0 + np.abs(ref).max())
@@ -241,16 +258,31 @@ class TestBatch:
         # |x| overflows in the norm, which once read as a zero residual
         # against an infinite scale and passed the finish test
         with np.errstate(all="ignore"), pytest.raises(NonFiniteCoordinateError):
-            batch_barycenters(np.array([[[0.0, 0.0], [1e160, 0.0]]]), p)
+            batch_barycenters(np.array([DISTANCE_OVERFLOW]), p)
 
     @pytest.mark.parametrize(
-        "tup",
-        [
-            [[0.0, 0.0], [1e110, 0.0]],
-            [[0.0, 0.0], [1e110, 0.0], [0.0, 1e110]],
-            [[0.0, 0.0], [1e90, 0.0], [0.0, 1e90]],
-        ],
+        "tup, p",
+        [(DISTANCE_OVERFLOW, p) for p in (1.2, 1.5, 2.0, 3.0)] + [(tup, 3.0) for tup in P_THREE_OVERFLOWS],
     )
+    def test_grid_bounds_overflow_on_the_same_tuples(self, tup, p):
+        # solve_mmot bounds the planes-layout grid with _mean_bounds; the
+        # overflowing tuples above, batched between finite ones, must
+        # raise there exactly as in batch_barycenters, and be the only
+        # tuples counted
+        tup = np.array(tup)
+        fine = np.zeros_like(tup)
+        fine[1:, 0] = np.arange(1.0, len(tup))
+        batch = np.array([fine, tup, fine, tup, fine])
+        expected = "^2 of 5 tuples overflow"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteCoordinateError, match=expected):
+                infconv._mean_bounds(planes_of(batch), p)
+            with pytest.raises(NonFiniteCoordinateError, match=expected):
+                batch_barycenters(batch, p)
+            infconv._mean_bounds(planes_of(batch[::2]), p)
+
+    @pytest.mark.parametrize("tup", P_THREE_OVERFLOWS)
     def test_cost_overflow_at_p_three_raises(self, tup):
         # the distances square fine, but their cube or the squared
         # residual overflows: once an infinite value passed as converged
@@ -264,12 +296,12 @@ class TestBatch:
         # balance steps run off towards infinity on most rows
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(80, 5, 3))
-        z0 = pts.mean(axis=1)
-        state = infconv._gradient_state(pts, z0, 1.2)
+        z0 = pts.mean(axis=1).T
+        state = infconv._gradient_state(planes_of(pts), z0, 1.2)
         with np.errstate(all="ignore"):
-            z, norm, scale, r = infconv._pinned_polish(pts, z0, state, 1.2)
+            z, norm, scale, r = infconv._pinned_polish(planes_of(pts), z0, state, 1.2)
         assert np.isfinite(z).all() and np.isfinite(scale).all() and np.isfinite(r).all()
-        assert (z == z0).all(axis=1).sum() >= 70
+        assert (z == z0).all(axis=0).sum() >= 70
 
     @pytest.mark.parametrize("s, p", [(1e20, 1.2), (1e40, 1.5), (1e60, 1.2)])
     def test_large_triangle_converges(self, s, p):
@@ -419,8 +451,8 @@ class TestDualLowerBound:
                 value = None
             else:
                 witnesses.append(z)
-            lower = [infconv._dual_lower_bound(pts, w, p) for w in witnesses]
-            upper = [infconv._objective(pts, w, p) for w in witnesses]
+            lower = [infconv._dual_lower_bound(planes_of(pts), w.T, p) for w in witnesses]
+            upper = [infconv._objective(planes_of(pts), w.T, p) for w in witnesses]
         eps = np.finfo(float).eps
         for w, lo, up in zip(witnesses, lower, upper):
             # rounding of L: a few ulps of its terms, which are about p U(w),

@@ -18,12 +18,13 @@ from baryflow import (
     canonicalize,
     load_measure,
     measure_to_dict,
-    measures_close,
     save_measure,
     validate_measure,
     validate_multiplan,
 )
 from baryflow.measures import measure_from_dict
+
+from .helpers import measures_close
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from baryflow import (
     canonicalize,
     dual_feasibility_check,
     extract_barycenter,
-    measures_close,
     pairwise_cost_matrix,
     random_marginals,
     run_verification,
@@ -35,6 +35,7 @@ from baryflow import (
 )
 from baryflow import infconv, transport
 
+from .helpers import measures_close
 from .oracles import (
     assignment_value,
     exhaustive_mmot_value,
@@ -266,6 +267,22 @@ class TestMmot:
         with pytest.raises(DimensionMismatchError):
             solve_mmot([random_measure(rng, 3, 2)], 2.0)
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_overflowing_cost_scale_is_named(self, p):
+        # the supports span 2e200, so the costs scale by (2e200)^p: about
+        # 3e300 at p = 1.5, which fits, and beyond the largest float at
+        # p = 2 and 3, where the costs once became nan or inf with a numpy
+        # warning or an error that named no grid
+        mu = DiscreteMeasure([[0.0], [1e200]], [0.5, 0.5])
+        nu = DiscreteMeasure([[-1e200], [0.0]], [0.5, 0.5])
+        if p == 1.5:
+            unit = [DiscreteMeasure(m.points / 1e200, m.weights) for m in (mu, nu, mu)]
+            value = solve_mmot([mu, nu, mu], p).value
+            assert value == pytest.approx(1e300 * solve_mmot(unit, p).value, rel=1e-12)
+        else:
+            with pytest.raises(NonFiniteCoordinateError, match=r"^tuple grid 2x2x2: .*cost scale"):
+                solve_mmot([mu, nu, mu], p)
+
     def test_mixed_dimensions_rejected(self):
         rng = np.random.default_rng(17)
         with pytest.raises(DimensionMismatchError):
@@ -277,9 +294,9 @@ def full_grid_solve(mus: list[DiscreteMeasure], p: float) -> tuple[np.ndarray, f
     and the transport simplex's value on them."""
     mus = tuple(mus)
     sizes = tuple(len(mu) for mu in mus)
-    indices = np.indices(sizes).reshape(len(sizes), -1).T
     centre, size = transport._frame(mus)
-    _, costs, _ = batch_barycenters((transport._tuple_points(mus, indices) - centre) / size, p)
+    grid = transport._grid_points([(mu.points - centre) / size for mu in mus])
+    _, costs, _ = batch_barycenters(grid.transpose(2, 0, 1), p)
     costs = costs * size**p
     return costs, transport._transport_simplex(costs.reshape(sizes), [mu.weights for mu in mus])[2]
 
@@ -320,8 +337,8 @@ class TestLazyCosts:
             assert res.value == pytest.approx(reference, rel=1e-12, abs=0.0)
         else:
             # the objective at each witness bounds its tuple cost from above
-            indices = np.indices(res.plan.support_sizes).reshape(n_marginals, -1).T
-            costs = infconv._objective(transport._tuple_points(tuple(mus), indices), res.grid_barycenters, p)
+            grid = transport._grid_points([mu.points for mu in mus])
+            costs = infconv._objective(grid, res.grid_barycenters.T, p)
         assert dual_feasibility_check(res).max_violation <= 1e-9 * costs.max()
 
     def test_unconverged_off_basis_tuple_no_longer_fails_the_solve(self):
@@ -588,3 +605,86 @@ class TestDualCertificates:
         means = np.stack([mu.points[idx[:, k]] for k, mu in enumerate(mus)], axis=1).mean(axis=1)
         worse = dataclasses.replace(res, grid_barycenters=means)
         assert dual_feasibility_check(worse).max_violation > dual_feasibility_check(res).max_violation
+
+
+def pinned_instance(seed: int, n_marginals: int, n_atoms: int, dim: int) -> list[DiscreteMeasure]:
+    rng = np.random.default_rng(seed)
+    return [
+        DiscreteMeasure(rng.uniform(size=(n_atoms, dim)), rng.dirichlet(np.ones(n_atoms)))
+        for _ in range(n_marginals)
+    ]
+
+
+# Recorded at commit 4c2be6c, before the tuple grid moved to the planes
+# layout and the simplex loop was trimmed; both were to change no bit.
+# Keys: (seed, marginals, atoms, dim, p).  Values: solve_mmot's value, plan
+# indices and masses, final basis, and the dual certificate's
+# (max_violation, duality_gap, support_slack), floats as float.hex.
+PINNED_SOLVES = {
+    (5, 3, 6, 2, 1.5): dict(
+        value="0x1.4236c42e464ecp-2",
+        indices=[[0, 2, 4], [0, 3, 2], [0, 3, 4], [1, 0, 3], [1, 2, 3], [1, 5, 5], [2, 0, 3], [2, 1, 3],
+                 [3, 0, 3], [4, 3, 1], [4, 3, 2], [4, 4, 1], [5, 2, 0], [5, 2, 4], [5, 2, 5], [5, 5, 5]],
+        masses=["0x1.99f20380d81a4p-4", "0x1.2c7855e57a7c0p-10", "0x1.0f89542c45bacp-5", "0x1.8e7e0dc9495c0p-8",
+                "0x1.0ce710e1a3936p-5", "0x1.ad65dea9d6384p-4", "0x1.c7da0f6bd4129p-6", "0x1.05eb3ace7f8f8p-12",
+                "0x1.137c2432a926dp-2", "0x1.9b4b12aaa3116p-4", "0x1.896788ccf6fe8p-6", "0x1.aaf09af9b4713p-5",
+                "0x1.b5aa7e5a4d89ep-9", "0x1.1de2cd98f96fep-3", "0x1.756d7754f8650p-4", "0x1.cf5c032a8d678p-7"],
+        basis=[192, 71, 51, 111, 196, 22, 197, 39, 16, 81, 215, 75, 20, 164, 163, 169],
+        certificate=["0x1.0000000000000p-54", "0x1.0000000000000p-54", "0x1.0000000000000p-53"],
+    ),
+    (6, 3, 6, 2, 3.0): dict(
+        value="0x1.0d97433097a7bp-5",
+        indices=[[0, 1, 1], [1, 1, 1], [1, 1, 5], [1, 2, 2], [1, 2, 3], [1, 4, 3], [1, 5, 3], [1, 5, 5],
+                 [2, 0, 0], [2, 0, 1], [2, 0, 4], [2, 3, 4], [3, 0, 0], [3, 1, 0], [4, 1, 0], [5, 4, 3]],
+        masses=["0x1.7c91e904b5a6bp-9", "0x1.3d59c80a0f550p-6", "0x1.7b8db2268c61ep-5", "0x1.fcdde9cd5cb57p-11",
+                "0x1.c67d5d4f046bfp-7", "0x1.4b3a79936de8ep-4", "0x1.3e8f3b8a19bf5p-2", "0x1.ca88c7565ca9cp-4",
+                "0x1.2f3c817750db0p-4", "0x1.85e756671cab8p-4", "0x1.6f205450d2246p-5", "0x1.8db48edf5f933p-4",
+                "0x1.d06cedb21e4acp-6", "0x1.383fadd977c36p-5", "0x1.3ada748a8e7ccp-7", "0x1.a0d6750660186p-6"],
+        basis=[72, 73, 114, 94, 150, 7, 108, 76, 43, 50, 47, 51, 71, 69, 63, 207],
+        certificate=["0x1.0000000000000p-55", "0x0.0p+0", "0x1.0000000000000p-56"],
+    ),
+    (7, 4, 4, 1, 1.2): dict(
+        value="0x1.8aa2c794da5afp-2",
+        indices=[[0, 2, 2, 2], [1, 0, 0, 3], [1, 0, 1, 1], [1, 0, 1, 3], [1, 0, 3, 3], [1, 1, 1, 1], [1, 1, 1, 2],
+                 [1, 1, 2, 2], [1, 2, 2, 2], [2, 2, 2, 2], [3, 2, 2, 0], [3, 2, 2, 2], [3, 3, 2, 0]],
+        masses=["0x1.07fc253081f0dp-5", "0x1.0cfb2faf4e982p-3", "0x1.a6baed65e6160p-6", "0x1.bae1bf3105320p-7",
+                "0x1.98add5e1f5e00p-5", "0x1.5609b51aa7628p-3", "0x1.9d0520d363b80p-6", "0x1.22a2a4b61910ep-4",
+                "0x1.6a42097ab1394p-5", "0x1.8ef0581c508a4p-10", "0x1.f0de933f0a328p-4", "0x1.0ce0b9df4d88ep-2",
+                "0x1.bde82fbc83880p-5"],
+        basis=[248, 42, 234, 85, 170, 232, 90, 86, 69, 106, 71, 79, 67],
+        certificate=["0x1.0000000000000p-53", "0x1.0000000000000p-54", "0x1.0000000000000p-53"],
+    ),
+}
+
+
+class TestPinnedBits:
+    @pytest.mark.parametrize("key", list(PINNED_SOLVES))
+    def test_solve_and_certificate_bits(self, key):
+        seed, n_marginals, n_atoms, dim, p = key
+        pinned = PINNED_SOLVES[key]
+        res = solve_mmot(pinned_instance(seed, n_marginals, n_atoms, dim), p)
+        cert = dual_feasibility_check(res)
+        assert res.value.hex() == pinned["value"]
+        assert res.plan.indices.tolist() == pinned["indices"]
+        assert [float(m).hex() for m in res.plan.masses] == pinned["masses"]
+        assert res._basis.tolist() == pinned["basis"]
+        certificate = [cert.max_violation.hex(), cert.duality_gap.hex(), cert.support_slack.hex()]
+        assert certificate == pinned["certificate"]
+
+
+class TestMemory:
+    # tracemalloc peak of the solve below, 10,697,092 bytes, measured by
+    # this test at commit 4c2be6c (numpy 2.4, CPython 3.11, x86-64), when
+    # the grid was an (m, N, d) gather from index tuples.
+    PEAK_AT_4C2BE6C = 10_697_092
+
+    def test_solve_peak_stays_at_or_below_the_recorded_one(self):
+        mus = pinned_instance(0, 3, 30, 2)
+        solve_mmot(mus, 1.5)
+        tracemalloc.start()
+        try:
+            solve_mmot(mus, 1.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.PEAK_AT_4C2BE6C
