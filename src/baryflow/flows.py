@@ -181,9 +181,18 @@ def coupling_flow_action(flow: ParticleFlow) -> float:
     solver used for tuple costs, not assumed to simplify.  For flows
     built from an optimal plan the inner minimizer is the zero vector and
     the action equals :func:`flow_action`.
+
+    Newton's tolerances are absolute, so it runs on the velocities divided
+    by the longest side of the targets' bounding box (1 if it is zero),
+    and the costs scale back by its p-th power: at small coordinates and
+    p >= 3 it would otherwise stop near the tuple mean.
     """
-    _, costs, _ = batch_barycenters(flow.velocities, flow.p)
-    return float((flow.masses * costs).sum())
+    targets = flow.targets.reshape(-1, flow.dim)
+    size = float(np.ptp(targets, axis=0).max()) if len(targets) else 0.0
+    size = size if size > 0.0 else 1.0
+    _, costs, _ = batch_barycenters(flow.velocities / size, flow.p)
+    with np.errstate(over="ignore"):
+        return float((flow.masses * (costs * np.power(size, flow.p))).sum())
 
 
 def velocity_balance_residual(flow: ParticleFlow) -> float:

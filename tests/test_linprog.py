@@ -19,6 +19,8 @@ from baryflow import CycleLimitError, DiscreteMeasure, NonFiniteCoordinateError,
 from baryflow import transport
 from baryflow.transport import _transport_simplex
 
+from .helpers import counted_staircases
+
 
 def marginal_rows(sizes: tuple[int, ...]) -> np.ndarray:
     """One 0/1 row per atom of every marginal over the C-order tuple grid."""
@@ -61,19 +63,6 @@ def dense_plan(flat: np.ndarray, masses: np.ndarray, sizes: tuple[int, ...]) -> 
     x = np.zeros(int(np.prod(sizes)))
     x[flat] = masses
     return x
-
-
-def counted_staircases(monkeypatch) -> list:
-    """Record every north-west staircase the simplex starts from."""
-    calls = []
-    original = transport._northwest_corner
-
-    def counted(weights, orders):
-        calls.append(len(weights))
-        return original(weights, orders)
-
-    monkeypatch.setattr(transport, "_northwest_corner", counted)
-    return calls
 
 
 def reduced_costs(costs: np.ndarray, potentials: list[np.ndarray]) -> np.ndarray:

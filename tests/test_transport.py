@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -35,7 +36,7 @@ from baryflow import (
 )
 from baryflow import infconv, transport
 
-from .helpers import measures_close
+from .helpers import counted_staircases, measures_close
 from .oracles import (
     assignment_value,
     exhaustive_mmot_value,
@@ -289,15 +290,22 @@ class TestMmot:
             solve_mmot([random_measure(rng, 3, 2), random_measure(rng, 3, 1)], 2.0)
 
 
+def frame_atoms(mus: list[DiscreteMeasure]) -> list[np.ndarray]:
+    """Each marginal's points in the instance's frame, as ``solve_mmot`` maps them."""
+    centre, size = transport._frame(tuple(mus))
+    return [(mu.points - centre) / size for mu in mus]
+
+
+def full_grid_costs(mus: list[DiscreteMeasure], p: float) -> np.ndarray:
+    """Tuple costs from Newton on every grid tuple, in the instance's frame."""
+    _, costs, _ = batch_barycenters(transport._grid_points(frame_atoms(mus)).transpose(2, 0, 1), p)
+    return costs * transport._frame(tuple(mus))[1] ** p
+
+
 def full_grid_solve(mus: list[DiscreteMeasure], p: float) -> tuple[np.ndarray, float]:
-    """Tuple costs from Newton on every grid tuple, in the instance's frame,
-    and the transport simplex's value on them."""
-    mus = tuple(mus)
+    """``full_grid_costs`` and the transport simplex's value on them."""
+    costs = full_grid_costs(mus, p)
     sizes = tuple(len(mu) for mu in mus)
-    centre, size = transport._frame(mus)
-    grid = transport._grid_points([(mu.points - centre) / size for mu in mus])
-    _, costs, _ = batch_barycenters(grid.transpose(2, 0, 1), p)
-    costs = costs * size**p
     return costs, transport._transport_simplex(costs.reshape(sizes), [mu.weights for mu in mus])[2]
 
 
@@ -535,6 +543,169 @@ class TestTransportSimplex:
         nu = DiscreteMeasure([[-1e200], [0.0]], [0.5, 0.5])
         with np.errstate(over="ignore"), pytest.raises(NonFiniteCoordinateError):
             solve_pairwise(mu, nu, 3.0)
+
+
+@st.composite
+def glued_instances(draw) -> tuple[list[DiscreteMeasure], float]:
+    """Unequal supports in the plane or space with at least
+    ``_GLUED_MIN_ROWS`` basis rows; Dirichlet or equal weights, and some
+    atoms moved onto others (of the same or another marginal)."""
+    n_marginals = draw(st.sampled_from([3, 4]))
+    low, high = {3: (10, 16), 4: (8, 10)}[n_marginals]
+    sizes = draw(
+        st.lists(st.integers(low, high), min_size=n_marginals, max_size=n_marginals).filter(
+            lambda s: len(set(s)) > 1 and sum(s) - len(s) + 1 >= transport._GLUED_MIN_ROWS
+        )
+    )
+    dim = draw(st.sampled_from([2, 3]))
+    equal = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = [rng.uniform(size=(n, dim)) for n in sizes]
+    for _ in range(draw(st.integers(0, 4))):
+        a, b = rng.integers(n_marginals, size=2)
+        points[b][rng.integers(sizes[b])] = points[a][rng.integers(sizes[a])]
+    weights = [np.full(n, 1.0 / n) if equal else rng.dirichlet(np.ones(n)) for n in sizes]
+    mus = [DiscreteMeasure(pts, w) for pts, w in zip(points, weights)]
+    return mus, draw(st.sampled_from([1.5, 2.0, 3.0]))
+
+
+def simplex_calls(monkeypatch) -> list:
+    """Record (costs, start) of every transport simplex call."""
+    calls = []
+    original = transport._transport_simplex
+
+    def recorded(costs, weights, start=None):
+        calls.append((costs.copy(), None if start is None else np.array(start)))
+        return original(costs, weights, start)
+
+    monkeypatch.setattr(transport, "_transport_simplex", recorded)
+    return calls
+
+
+def glued_start_per_hub_atom(mus: tuple[DiscreteMeasure, ...], atoms: list[np.ndarray], p: float) -> np.ndarray:
+    """Reference for ``transport._glued_start``: the same pairwise LPs, then
+    one ``_northwest_corner`` walk per hub atom over its tree partners,
+    sorted by their rank along the axis."""
+    weights = [mu.weights for mu in mus]
+    orders = transport._axis_orders(mus)
+    ranks = [np.argsort(order) for order in orders]
+    partners = [[] for _ in weights[0]]
+    for k in range(1, len(weights)):
+        sizes = (len(weights[0]), len(weights[k]))
+        pair = [weights[0], weights[k]]
+        start = np.ravel_multi_index(transport._northwest_corner(pair, [orders[0], orders[k]]).T, sizes)
+        cost = pairwise_cost_matrix(atoms[0], atoms[k], p)
+        support, masses, _, _, tree = transport._transport_simplex(cost, pair, start)
+        plan = np.zeros(math.prod(sizes))
+        plan[support] = masses
+        for i, slot in enumerate(partners):
+            mine = tree[tree // sizes[1] == i]
+            mine = mine[np.argsort(ranks[k][mine % sizes[1]], kind="stable")]
+            slot.append((mine % sizes[1], plan[mine]))
+    glued = []
+    for i, pairs in enumerate(partners):
+        walked = transport._northwest_corner([mass for _, mass in pairs], [np.arange(len(m)) for m, _ in pairs])
+        glued += [(i, *(part[j] for (part, _), j in zip(pairs, steps))) for steps in walked]
+    return np.array(glued)
+
+
+class TestGluedStart:
+    """A large cold solve in the plane or above starts from the optimal
+    pairwise plans between marginal 0 and each other marginal, glued at
+    marginal 0's atoms."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(instance=glued_instances())
+    def test_start_is_an_accepted_basis_with_the_axis_value(self, instance):
+        mus, p = instance
+        mus = tuple(mus)
+        sizes = tuple(len(mu) for mu in mus)
+        rows = sum(sizes) - len(sizes) + 1
+        weights = [mu.weights for mu in mus]
+        try:
+            costs = full_grid_costs(mus, p).reshape(sizes)
+        except ConvergenceError:
+            return
+        with pytest.MonkeyPatch.context() as mp:
+            staircases = counted_staircases(mp)
+            start = transport._cold_start(mus, frame_atoms(mus), p, "x".join(map(str, sizes)))
+            # glued: one two-marginal staircase per pairwise LP
+            assert staircases == [2] * (len(mus) - 1)
+            assert len(start) == rows and len(np.unique(start)) == rows
+            _, _, glued_value, _, _ = transport._transport_simplex(costs, weights, start)
+            # accepted: no fallback to the staircase in input order
+            assert len(staircases) == len(mus) - 1
+        _, _, axis_value, _, _ = transport._transport_simplex(costs, weights, transport._axis_staircase(mus))
+        assert glued_value == pytest.approx(axis_value, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_walk_equals_a_staircase_per_hub_atom(self, seed):
+        rng = np.random.default_rng(seed)
+        n_marginals = 3 + seed % 2
+        mus = tuple(
+            DiscreteMeasure(rng.uniform(size=(n, 2 + seed % 2)), rng.dirichlet(np.ones(n)))
+            for n in rng.integers(9, 14, size=n_marginals)
+        )
+        atoms = frame_atoms(mus)
+        glued = transport._glued_start(mus, atoms, 1.5, "grid")
+        assert np.array_equal(glued, glued_start_per_hub_atom(mus, atoms, 1.5))
+
+    @pytest.mark.parametrize(
+        "sizes, dim",
+        [((11, 11, 11), 2), ((9, 9, 8, 8), 2), ((15, 15, 15), 1), ((30, 30), 2)],
+        ids=["3-marginals-31-rows", "4-marginals-31-rows", "line", "2-marginals"],
+    )
+    def test_axis_staircase_below_the_threshold_on_the_line_and_for_two(self, monkeypatch, sizes, dim):
+        rng = np.random.default_rng(sum(sizes))
+        mus = [DiscreteMeasure(rng.uniform(size=(n, dim)), rng.dirichlet(np.ones(n))) for n in sizes]
+        calls = simplex_calls(monkeypatch)
+        solve_mmot(mus, 1.5)
+        axis = transport._axis_staircase(mus)
+        # no pairwise LP: the first simplex solves the grid, from the axis start
+        assert calls[0][0].shape == sizes
+        assert np.array_equal(calls[0][1], axis)
+        assert np.array_equal(transport._cold_start(tuple(mus), frame_atoms(mus), 1.5, "grid"), axis)
+
+    @pytest.mark.parametrize("sizes", [(12, 11, 11), (9, 9, 9, 8)], ids=["3-marginals-32-rows", "4-marginals-32-rows"])
+    def test_pairwise_lps_run_from_32_rows(self, monkeypatch, sizes):
+        rng = np.random.default_rng(sum(sizes))
+        mus = [DiscreteMeasure(rng.uniform(size=(n, 2)), rng.dirichlet(np.ones(n))) for n in sizes]
+        calls = simplex_calls(monkeypatch)
+        res = solve_mmot(mus, 1.5)
+        shapes = [costs.shape for costs, _ in calls]
+        assert shapes[: len(sizes)] == [(sizes[0], n) for n in sizes[1:]] + [sizes]
+        assert_certified(res)
+
+    @pytest.mark.parametrize("s", [1e-3, 1e3])
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_scaling_law(self, monkeypatch, p, s):
+        # the pairwise LPs run on the frame points, so their costs, the
+        # start and with it the whole solve do not depend on the scale
+        mus = random_marginals(63, 3, 12, 2)
+        scaled = [DiscreteMeasure(s * mu.points, mu.weights) for mu in mus]
+        calls = simplex_calls(monkeypatch)
+        value = solve_mmot(mus, p).value
+        unit_calls = calls[:]
+        calls.clear()
+        assert solve_mmot(scaled, p).value == pytest.approx(s**p * value, rel=1e-13, abs=0.0)
+        for (unit, _), (frame, _) in zip(unit_calls[:2], calls[:2]):
+            assert unit.ndim == 2
+            np.testing.assert_allclose(frame, unit, rtol=1e-12, atol=0.0)
+
+    def test_pairwise_cycle_limit_names_the_stage_and_the_grid(self, monkeypatch):
+        original = transport._transport_simplex
+
+        def failing(costs, weights, start=None):
+            if costs.ndim == 2:
+                raise CycleLimitError(f"no optimum on the {costs.shape[0]}x{costs.shape[1]} grid after 9 pivots")
+            return original(costs, weights, start)
+
+        monkeypatch.setattr(transport, "_transport_simplex", failing)
+        with pytest.raises(
+            CycleLimitError,
+            match=r"^glued start of the 12x12x12 grid, pairwise LP of marginals 1 and 2: no optimum on the 12x12 ",
+        ):
+            solve_mmot(random_marginals(64, 3, 12, 2), 1.5)
 
 
 class TestBarycenterExtraction:
